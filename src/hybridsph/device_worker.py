@@ -2,12 +2,12 @@
 
 The master thread owns the endpoint's receive side. It rebuilds the functor
 from FUNCTOR_STATE, spawns the requested number of workers, and from then on
-only moves blocks around: each WORK_BLOCK blob is acknowledged and handed to
-the workers, who pull items off a shared cursor, apply the functor, and
-append results to the block's result buffer. The last worker to finish a
-block sends it home; blocks therefore return whole, possibly out of order,
-with item order inside a block determined by completion, not arrival. The
-host scatters by sequence index either way.
+only moves blocks around: each WORK_BLOCK blob is handed to the workers,
+who pull items off a shared cursor, apply the functor, and append results
+to the block's result buffer. The last worker to finish a block sends it
+home; blocks therefore return whole, possibly out of order, with item order
+inside a block determined by completion, not arrival. The host scatters by
+sequence index either way.
 
 Runs identically as a thread (in-process transport) or as the main loop of
 the worker executable (subprocess transport, ``python -m
@@ -24,9 +24,8 @@ import threading
 
 from . import functors  # noqa: F401  (registers the standard functor codecs)
 from . import transport
-from .runtime import (BLOCK_ACK_MSG, BufferPool, FUNCTOR_HEADER,
-                      WORK_BLOCK_MSG, parse_block)
-from .transport import (Endpoint, Message, MessageKind, PeerClosedError,
+from .runtime import BufferPool, FUNCTOR_HEADER, WORK_BLOCK_MSG, parse_block
+from .transport import (Endpoint, LinkConfig, Message, MessageKind,
                         TransportError, parse_host_hello)
 from .wire import ByteReader, decode_functor
 
@@ -88,7 +87,7 @@ def _worker_loop(endpoint: Endpoint, functor, blocks: queue_mod.Queue,
                     endpoint.send_message(Message(
                         MessageKind.SHUTDOWN,
                         f"apply failed on item {idx}: {exc}".encode()))
-                except (PeerClosedError, TransportError):
+                except TransportError:
                     pass
             return
 
@@ -100,14 +99,18 @@ def _worker_loop(endpoint: Endpoint, functor, blocks: queue_mod.Queue,
             last = block.done == block.count
         if last:
             block.result.finalize()
-            with send_lock:
-                endpoint.send_message(Message(
-                    MessageKind.RESULT_BLOCK,
-                    WORK_BLOCK_MSG.pack(block.block_id,
-                                        len(block.result.data))))
-                handle = endpoint.send_blob(block.result.data)
-            handle.add_done_callback(
-                lambda h, b=block.result: pool.release(b))
+            try:
+                with send_lock:
+                    endpoint.send_message(Message(
+                        MessageKind.RESULT_BLOCK,
+                        WORK_BLOCK_MSG.pack(block.block_id,
+                                            len(block.result.data))))
+                    endpoint.send_blob(block.result.data)
+            except TransportError:
+                shared["stopping"] = True  # the host is gone
+                return
+            finally:
+                pool.release(block.result)
 
 
 def run_device_worker_loop(endpoint: Endpoint, worker_count: int,
@@ -129,7 +132,7 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int,
         while True:
             try:
                 msg = endpoint.recv_message()
-            except (PeerClosedError, TransportError):
+            except TransportError:
                 break
             if msg.kind == MessageKind.FUNCTOR_STATE:
                 r = ByteReader(msg.payload)
@@ -154,8 +157,6 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int,
                         f"work block {block_id}: "
                         + ("no functor installed" if functor is None
                            else f"expected {nbytes} bytes, got {len(blob)}"))
-                endpoint.send_message(Message(MessageKind.BLOCK_ACK,
-                                              BLOCK_ACK_MSG.pack(block_id)))
                 try:
                     blocks.put(_BlockWork(blob, pool))
                 except Exception as exc:
@@ -173,7 +174,7 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int,
         try:
             endpoint.send_message(Message(MessageKind.SHUTDOWN,
                                           str(exc).encode("utf-8")))
-        except (PeerClosedError, TransportError):
+        except TransportError:
             pass
     finally:
         shared["stopping"] = True
@@ -187,16 +188,16 @@ class _Malformed(Exception):
     """Host sent something the protocol does not allow."""
 
 
-def inproc_device_main(endpoint: Endpoint, worker_count: int,
-                       pool: BufferPool | None = None,
-                       protocol_version: int = transport.PROTOCOL_VERSION) -> None:
-    """Thread target for the in-process transport: HELLO, then the loop."""
+def serve(endpoint: Endpoint, worker_count: int,
+          pool: BufferPool | None = None,
+          protocol_version: int = transport.PROTOCOL_VERSION) -> None:
+    """HELLO, then the loop. The host's HELLO carries the link parameters
+    this side sends with from then on."""
     try:
         endpoint.send_message(transport.device_hello(worker_count,
                                                      protocol_version))
-        msg = endpoint.recv_message(timeout=60.0)
-        parse_host_hello(msg)
-    except (PeerClosedError, TransportError):
+        endpoint.config = parse_host_hello(endpoint.recv_message(timeout=60.0))
+    except TransportError:
         endpoint.close()
         return
     run_device_worker_loop(endpoint, worker_count, pool)
@@ -222,15 +223,11 @@ def main(argv: list[str] | None = None) -> int:
     msg_sock = _connect_channel(host, int(port), b"M")
     bulk_sock = _connect_channel(host, int(port), b"B")
 
-    # HELLO runs on the raw socket: the link parameters that configure the
-    # paced endpoint arrive in the host's reply.
-    msg_sock.sendall(transport.encode_message(
-        transport.device_hello(args.workers)))
-    reply = transport._socket_msg_receiver(msg_sock)(60.0)
-    config = parse_host_hello(transport.decode_message(reply))
-
-    endpoint = transport.socket_endpoint("device", msg_sock, bulk_sock, config)
-    run_device_worker_loop(endpoint, args.workers)
+    # The link parameters arrive in the host's HELLO reply; until then this
+    # side sends with zero simulated latency.
+    endpoint = transport.socket_endpoint("device", msg_sock, bulk_sock,
+                                         LinkConfig(latency=0.0))
+    serve(endpoint, args.workers)
     return 0
 
 

@@ -4,8 +4,10 @@
 workers transform items in place with no serialization; each device gets the
 functor (plus shared state) once per call and then a stream of item blocks,
 batched to its worker count and shipped as single bulk transfers, with
-double buffering so the device rarely starves. Results scatter back into the
-sequence by item index, so completion order never affects the outcome.
+double buffering so the device rarely starves. One controller thread per
+device packs each block, sends it, waits for results and scatters them back
+into the sequence by item index, so completion order never affects the
+outcome.
 
 Work allocation is a single priority queue: a plain counter hands out fresh
 indices, and a high-priority list serves put-backs (items taken but not
@@ -16,24 +18,22 @@ device) before any counter index.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections import deque
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import transport
 from .transport import (DeviceHandle, LinkConfig, Message, MessageKind,
-                        PeerClosedError, TraceRecorder, TransportError)
+                        TraceRecorder, TransportError)
 from .wire import ByteReader, ByteWriter, Codec, encode_functor
 
 BLOCK_HEADER = struct.Struct("<QI")      # block_id u64, item_count u32
 ITEM_PREFIX = struct.Struct("<Q")        # sequence_index u64
 WORK_BLOCK_MSG = struct.Struct("<QQ")    # block_id, payload byte count
-BLOCK_ACK_MSG = struct.Struct("<Q")      # block_id
 FUNCTOR_HEADER = struct.Struct("<BQ")    # inline flag u8, byte count u64
 
 DEFAULT_BUFFER_CAPACITY = 1 << 20
@@ -153,14 +153,6 @@ class BufferPool:
             self._free.append(buf)
 
 
-def acquire_buffer(pool: BufferPool, min_capacity: int) -> TransferBuffer:
-    return pool.acquire(min_capacity)
-
-
-def release_buffer(pool: BufferPool, buf: TransferBuffer) -> None:
-    pool.release(buf)
-
-
 def pack_block(queue: WorkQueue, sequence: Sequence, buffer: TransferBuffer,
                batch: int, item_codec: Codec) -> list[int]:
     """Take up to ``batch`` indices and serialize their items into the buffer.
@@ -218,7 +210,6 @@ class DeviceState:
     worker_count: int
     label: str = "device/0"
     pool: BufferPool = field(default_factory=BufferPool)
-    blocks_on_device: int = 0
     in_flight: dict[int, list[int]] = field(default_factory=dict)
     lost: bool = False
 
@@ -259,11 +250,6 @@ class RunStatistics:
                          self.bytes_received.get(unit, 0),
                          round(self.busy_seconds.get(unit, 0.0), 6)))
         return rows
-
-    def write_csv(self, path) -> None:
-        import csv
-        with open(path, "w", newline="") as f:
-            csv.writer(f).writerows(self.csv_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -325,35 +311,56 @@ def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int = 1,
 # Device controller
 # ---------------------------------------------------------------------------
 
-class _SupportWorker(threading.Thread):
-    """Runs serialization-heavy tasks so the control loop stays responsive."""
+def _send_functor(ep, functor_name: str, functor_bytes: bytes) -> None:
+    """FUNCTOR_STATE, with the state inline when small, as a blob otherwise."""
+    inline = len(functor_bytes) <= FUNCTOR_INLINE_MAX
+    w = ByteWriter()
+    w.write_str(functor_name)
+    w.write_bytes(FUNCTOR_HEADER.pack(1 if inline else 0, len(functor_bytes)))
+    if inline:
+        w.write_bytes(functor_bytes)
+    ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(w.data)))
+    if not inline:
+        ep.send_blob(functor_bytes)
 
-    def __init__(self, name: str, events: queue_mod.Queue):
-        super().__init__(name=name, daemon=True)
-        self._tasks: queue_mod.Queue = queue_mod.Queue()
-        self._events = events
-        self.start()
 
-    def submit(self, fn: Callable[[], None]) -> None:
-        self._tasks.put(fn)
+def _receive_result(device: DeviceState, sequence, item_codec: Codec,
+                    unit_of_index: list | None) -> int:
+    """Wait for the next result block and scatter it; returns its item count.
 
-    def stop(self) -> None:
-        self._tasks.put(None)
-        self.join(timeout=30.0)
-
-    def run(self):
-        while True:
-            fn = self._tasks.get()
-            if fn is None:
-                return
-            # Tasks report expected failures through controller events
-            # themselves. Anything escaping would leave the controller
-            # waiting for an event that never comes, so surface it as a
-            # device loss rather than dying silently.
-            try:
-                fn()
-            except Exception as exc:
-                self._events.put(("lost", exc))
+    The whole block is decoded and checked against the indices sent before
+    any item is written, so a malformed result leaves the sequence untouched
+    and its indices can safely run elsewhere. Any fault is a TransportError.
+    """
+    ep = device.endpoint
+    msg = ep.recv_message()
+    if msg.kind == MessageKind.SHUTDOWN:
+        raise TransportError(f"device reported failure: {msg.payload!r}")
+    if msg.kind != MessageKind.RESULT_BLOCK:
+        raise TransportError(f"unexpected message kind {msg.kind!r}")
+    bid, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
+    blob = ep.recv_blob()
+    try:
+        if len(blob) != nbytes:
+            raise ValueError(f"expected {nbytes} bytes, got {len(blob)}")
+        blk_id, count, reader = parse_block(blob)
+        if blk_id != bid:
+            raise ValueError(f"block id {blk_id} does not match "
+                             f"announcement {bid}")
+        deser = item_codec.deserialize
+        results = [(reader.read_u64(), deser(reader)) for _ in range(count)]
+        sent = device.in_flight.get(bid)
+        if sent is None or sorted(i for i, _ in results) != sorted(sent):
+            raise ValueError("indices differ from those sent")
+    except Exception as exc:
+        raise TransportError(f"malformed result block {bid}: {exc}") from exc
+    for idx, value in results:
+        sequence[idx] = value
+    if unit_of_index is not None:
+        for idx, _ in results:
+            unit_of_index[idx] = device.label
+    del device.in_flight[bid]
+    return count
 
 
 def run_device_controller(device: DeviceState, queue: WorkQueue,
@@ -362,180 +369,63 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
                           hot_buffers: int = 2,
                           buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
                           unit_of_index: list | None = None) -> dict:
-    """Drive one device through a full call.
+    """Drive one device through a full call, all on the calling thread.
 
-    Ships FUNCTOR_STATE first (inline in the message when small, as a bulk
-    transfer otherwise), then keeps up to ``hot_buffers`` un-resulted blocks
-    on the device: whenever the count drops below that and the queue has
-    work, the next block is packed (on a support thread) and sent. Results
-    scatter into the sequence by index as they arrive. When the queue is
-    exhausted and every sent block has come back, the device gets
-    NO_MORE_WORK and then SHUTDOWN.
+    Ships FUNCTOR_STATE first, then loops: while fewer than ``hot_buffers``
+    blocks are un-resulted and the queue has work, pack the next block and
+    send it; then wait for one result and scatter it into the sequence by
+    index. When the queue is exhausted and every sent block has come back,
+    the device gets NO_MORE_WORK and then SHUTDOWN.
 
-    If the device dies mid-call, its un-resulted indices go back to the
-    queue at high priority and the fragment reports the loss.
+    If the device dies mid-call or returns a malformed result, its
+    un-resulted indices go back to the queue at high priority and the
+    fragment reports the loss. Any other error (an item too large for the
+    buffer, a codec failure) propagates.
     """
     ep = device.endpoint
-    events: queue_mod.Queue = queue_mod.Queue()
-    support = _SupportWorker(f"{device.label}-support", events)
     started = time.perf_counter()
     items_done = 0
     next_block_id = 0
-    packing = False
-    closing = False
-    fatal: Exception | None = None
-
-    def pump_messages():
+    buf = device.pool.acquire(buffer_capacity)
+    try:
+        _send_functor(ep, functor_name, functor_bytes)
         while True:
-            try:
-                msg = ep.recv_message()
-            except (PeerClosedError, TransportError) as exc:
-                events.put(("closed" if closing else "lost", exc))
-                return
-            if msg.kind == MessageKind.RESULT_BLOCK:
-                bid, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
-                # Blob receive and deserialization happen off the control
-                # loop; blob order matches message order per direction.
-                def scatter(bid=bid):
-                    try:
-                        blob = ep.recv_blob()
-                    except (PeerClosedError, TransportError) as exc:
-                        events.put(("closed" if closing else "lost", exc))
-                        return
-                    try:
-                        blk_id, count, reader = parse_block(blob)
-                        if blk_id != bid:
-                            raise TransportError(
-                                f"result block id {blk_id} does not match "
-                                f"announcement {bid}")
-                        deser = item_codec.deserialize
-                        for _ in range(count):
-                            idx = reader.read_u64()
-                            sequence[idx] = deser(reader)
-                            if unit_of_index is not None:
-                                unit_of_index[idx] = device.label
-                    except Exception as exc:  # malformed result: drop device
-                        events.put(("lost", exc))
-                        return
-                    events.put(("scattered", bid, count))
-                support.submit(scatter)
-            elif msg.kind == MessageKind.BLOCK_ACK:
-                pass  # receipt confirmation; scheduling keys off results
-            elif msg.kind == MessageKind.SHUTDOWN:
-                events.put(("lost", TransportError(
-                    f"device reported failure: {msg.payload!r}")))
-                return
-            # other kinds are not expected host-bound; ignore defensively
-
-    receiver = threading.Thread(target=pump_messages,
-                                name=f"{device.label}-recv", daemon=True)
-
-    def submit_pack():
-        nonlocal packing, next_block_id
-        packing = True
-        block_id = next_block_id
-        next_block_id += 1
-
-        def do_pack():
-            buf = device.pool.acquire(buffer_capacity)
-            try:
-                buf.begin(block_id)
+            while len(device.in_flight) < hot_buffers:
+                buf.begin(next_block_id)
                 packed = pack_block(queue, sequence, buf,
                                     device.worker_count, item_codec)
-            except Exception as exc:  # item too large, codec failure
-                events.put(("fatal", exc, buf))
-                return
-            events.put(("packed", buf, packed))
-        support.submit(do_pack)
-
-    def top_up():
-        if not packing and device.blocks_on_device < hot_buffers:
-            submit_pack()
-
-    try:
-        header = FUNCTOR_HEADER.pack(
-            1 if len(functor_bytes) <= FUNCTOR_INLINE_MAX else 0,
-            len(functor_bytes))
-        w = ByteWriter()
-        w.write_str(functor_name)
-        w.write_bytes(header)
-        if len(functor_bytes) <= FUNCTOR_INLINE_MAX:
-            w.write_bytes(functor_bytes)
-            ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(w.data)))
-        else:
-            ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(w.data)))
-            ep.send_blob(functor_bytes)
-        receiver.start()
-        top_up()
-
-        while True:
-            event = events.get()
-            kind = event[0]
-            if kind == "packed":
-                _, buf, packed = event
-                packing = False
                 if not packed:
-                    device.pool.release(buf)
-                    if device.blocks_on_device == 0:
-                        break  # queue drained and nothing outstanding
-                    # Blocks still out; their results re-trigger packing,
-                    # and the final empty pack confirms exhaustion.
-                    continue
+                    break
+                # Recorded before sending, so a send that fails still
+                # leaves these indices to be put back.
+                device.in_flight[next_block_id] = packed
                 ep.send_message(Message(
                     MessageKind.WORK_BLOCK,
-                    WORK_BLOCK_MSG.pack(buf.block_id, len(buf.data))))
-                handle = ep.send_blob(buf.data)
-                handle.add_done_callback(
-                    lambda h, b=buf: events.put(("sent", b)))
-                device.blocks_on_device += 1
-                device.in_flight[buf.block_id] = packed
-                top_up()
-            elif kind == "sent":
-                device.pool.release(event[1])
-            elif kind == "scattered":
-                _, bid, count = event
-                items_done += count
-                device.blocks_on_device -= 1
-                device.in_flight.pop(bid, None)
-                top_up()
-            elif kind == "lost":
-                device.lost = True
-                stranded = [i for ids in device.in_flight.values() for i in ids]
-                device.in_flight.clear()
-                queue.put_back(stranded)
-                break
-            elif kind == "closed":
-                break
-            elif kind == "fatal":
-                _, exc, buf = event
-                device.pool.release(buf)
-                fatal = exc
-                queue.abort()
-                device.lost = True
-                break
+                    WORK_BLOCK_MSG.pack(next_block_id, len(buf.data))))
+                ep.send_blob(buf.data)
+                next_block_id += 1
+            if not device.in_flight:
+                break  # queue drained and nothing outstanding
+            items_done += _receive_result(device, sequence, item_codec,
+                                          unit_of_index)
+        ep.send_message(Message(MessageKind.NO_MORE_WORK))
+        ep.send_message(Message(MessageKind.SHUTDOWN))
+    except TransportError:
+        device.lost = True
+        queue.put_back([i for ids in device.in_flight.values() for i in ids])
+        device.in_flight.clear()
     finally:
-        closing = True
-        if not device.lost:
-            try:
-                ep.send_message(Message(MessageKind.NO_MORE_WORK))
-                ep.send_message(Message(MessageKind.SHUTDOWN))
-            except (PeerClosedError, TransportError):
-                device.lost = True
-        support.stop()
+        device.pool.release(buf)
         device.handle.close()
-        if receiver.is_alive():
-            receiver.join(timeout=30.0)
 
-    fragment = {
+    return {
         "unit": device.label,
         "items": items_done,
         "bytes_tx": ep.bytes_sent,
         "bytes_rx": ep.bytes_received,
         "busy_seconds": time.perf_counter() - started,
         "lost": device.lost,
-        "fatal": fatal,
     }
-    return fragment
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +476,11 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
                 item_codec, hot_buffers=hot_buffers,
                 buffer_capacity=buffer_capacity,
                 unit_of_index=unit_of_index))
-        except BaseException as exc:  # keep the call joinable
+        except BaseException as exc:
+            # The call fails: stop handing out work, keep the call joinable,
+            # then re-raise to the caller.
+            queue.abort()
             controller_errors.append(exc)
-            queue.put_back([i for ids in dev.in_flight.values() for i in ids])
-            dev.in_flight.clear()
 
     controllers = [threading.Thread(target=controller_main, args=(dev,),
                                     name=f"{dev.label}-controller")
@@ -634,9 +525,6 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
 
     for exc in worker_errors + controller_errors:
         raise exc
-    for frag in fragments:
-        if frag["fatal"] is not None:
-            raise frag["fatal"]
 
     for label, count, busy in worker_results:
         stats.items_by_unit[label] = count

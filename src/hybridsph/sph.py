@@ -580,9 +580,8 @@ class StepTiming:
 
 
 def simulation_step(state: SimulationState, device_specs: Sequence = (),
-                    host_workers: int | None = None, chunk: int = 1,
-                    buffer_capacity: int = 1 << 20,
-                    hot_buffers: int = 2) -> StepTiming:
+                    host_workers: int | None = None,
+                    buffer_capacity: int = 1 << 20) -> StepTiming:
     """Advance the state by one step.
 
     Phase 1 runs serially on the host. Phases 2 and 3 run through
@@ -609,9 +608,8 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
         devices = [connect_device(spec, i) for i, spec in enumerate(device_specs)]
         t0 = time.perf_counter()
         stats = hybrid_for_each(state.particles, functor, devices,
-                                host_workers=host_workers, chunk=chunk,
-                                buffer_capacity=buffer_capacity,
-                                hot_buffers=hot_buffers)
+                                host_workers=host_workers,
+                                buffer_capacity=buffer_capacity)
         setattr(timing, phase_name, time.perf_counter() - t0)
         timing.stats.append(stats)
         timing.items_on_devices += sum(
@@ -620,7 +618,7 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     t0 = time.perf_counter()
     integrate = functors.IntegrateAction(state.params.dt)
     stats4 = hybrid_for_each(state.particles, integrate, (),
-                             host_workers=host_workers, chunk=max(chunk, 64))
+                             host_workers=host_workers, chunk=64)
     timing.phase4_s = time.perf_counter() - t0
     timing.stats.append(stats4)
     return timing

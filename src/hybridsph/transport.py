@@ -3,9 +3,7 @@
 A link is two channels per direction: a small-message channel (framed
 messages, latency-only delay, FIFO) and a bulk channel (opaque blobs,
 delayed by latency + size/bandwidth, one transfer in flight per direction
-at a time, full duplex across directions). Completion of a bulk transfer is
-observable through a handle, so the sender's control loop never waits on
-the link itself.
+at a time, full duplex across directions).
 
 Two transports implement the same contract:
 
@@ -14,8 +12,11 @@ Two transports implement the same contract:
 * subprocess: a device worker process reached over two local TCP sockets,
   a genuinely separate address space.
 
-Delays are applied on the sending side by per-channel pacing threads, so
-both transports exhibit the same timing model.
+Both carry (delivery deadline, bytes) pairs: the sender stamps each send
+with the ``time.monotonic()`` instant the simulated link would deliver it,
+and the receiver sleeps until then. Host and device share that clock (the
+subprocess link binds 127.0.0.1 only), so both transports exhibit the same
+timing model without any thread of their own.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _MESSAGE_HEADER = struct.Struct("<IQ")   # kind u32, payload_length u64
-_BLOB_HEADER = struct.Struct("<Q")       # payload_length u64 (socket framing)
+_FRAME = struct.Struct("<dQ")            # socket framing: deadline f64, length u64
 _HELLO_DEVICE = struct.Struct("<II")     # version, worker_count
 _HELLO_HOST = struct.Struct("<Idd")      # version, bandwidth, latency
+_ACCEPT_POLL = 0.05                      # s between worker liveness checks
 
 
 class TransportError(Exception):
@@ -66,7 +68,6 @@ class MessageKind(IntEnum):
     RESULT_BLOCK = 3
     NO_MORE_WORK = 4
     SHUTDOWN = 5
-    BLOCK_ACK = 6
 
 
 @dataclass(frozen=True)
@@ -110,37 +111,6 @@ def decode_message(frame: bytes) -> Message:
     return Message(MessageKind(kind), payload)
 
 
-class TransferHandle:
-    """Completion handle for one bulk transfer."""
-
-    __slots__ = ("_event", "_callbacks", "error", "completed_at")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._callbacks: list[Callable[["TransferHandle"], None]] = []
-        self.error: Optional[Exception] = None
-        self.completed_at: Optional[float] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
-
-    def add_done_callback(self, fn: Callable[["TransferHandle"], None]) -> None:
-        if self._event.is_set():
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def _complete(self, error: Exception | None = None) -> None:
-        self.error = error
-        self.completed_at = time.perf_counter()
-        self._event.set()
-        for fn in self._callbacks:
-            fn(self)
-
-
 class TraceRecorder:
     """Ordered log of endpoint traffic, for tests and trace assertions."""
 
@@ -160,173 +130,104 @@ class TraceRecorder:
         return [decode_message(f).kind for f in self.frames(event)]
 
 
-_STOP = object()
-_CLOSED = object()
-
-
-class _Lane(threading.Thread):
-    """Sender-side pacing for one channel direction.
-
-    Each submission gets a delivery deadline computed at submit time; the
-    lane thread delivers strictly in order, sleeping out whatever simulated
-    time has not already elapsed. Bulk lanes additionally serialize: a
-    transfer's clock starts when the previous one finishes.
-    """
-
-    def __init__(self, name: str, config: LinkConfig, occupancy: bool,
-                 deliver: Callable[[object], None],
-                 on_error: Callable[[Exception], None]):
-        super().__init__(name=name, daemon=True)
-        self._config = config
-        self._occupancy = occupancy
-        self._deliver = deliver
-        self._on_error = on_error
-        self._q: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()
-        self._free_at = 0.0
-        self._broken = False
-
-    def submit(self, payload, nbytes: int,
-               handle: TransferHandle | None = None) -> None:
-        with self._lock:
-            if self._broken:
-                raise PeerClosedError("link is down")
-            now = time.perf_counter()
-            if self._occupancy:
-                start = now if now > self._free_at else self._free_at
-                deadline = start + link_time(nbytes, self._config)
-                self._free_at = deadline
-            else:
-                deadline = now + self._config.latency
-            self._q.put((deadline, payload, handle))
-
-    def stop(self, join: bool = True) -> None:
-        self._q.put(_STOP)
-        if join and self.is_alive():
-            self.join(timeout=30.0)
-
-    def run(self):
-        while True:
-            item = self._q.get()
-            if item is _STOP:
-                return
-            deadline, payload, handle = item
-            delay = deadline - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            err: Exception | None = None
-            try:
-                self._deliver(payload)
-            except (OSError, PeerClosedError) as exc:
-                err = PeerClosedError(str(exc))
-                with self._lock:
-                    self._broken = True
-                self._on_error(err)
-            if handle is not None:
-                handle._complete(err)
-
-
-class _QueuePair:
-    """Shared state of one in-process link."""
-
-    def __init__(self):
-        self.to_device_msgs: queue.Queue = queue.Queue()
-        self.to_device_blobs: queue.Queue = queue.Queue()
-        self.to_host_msgs: queue.Queue = queue.Queue()
-        self.to_host_blobs: queue.Queue = queue.Queue()
+# A channel carries (delivery deadline, bytes) pairs in FIFO order.
+_Send = Callable[[float, bytes], None]
+_Receive = Callable[[Optional[float]], tuple[float, bytes]]
 
 
 class Endpoint:
     """One side of a link: message channel plus bulk channel.
 
-    The send side and the receive side may be driven from different threads,
-    but each side must be used by one thread at a time (serialize externally
-    if several producers share it).
+    Every send is stamped with its delivery deadline on ``time.monotonic()``
+    and handed to the channel at once; the receive that returns it sleeps
+    until that deadline. Sends from several threads are serialized here, but
+    a sender that needs a message and its blob to stay adjacent must hold
+    its own lock across both. Each receive side must be used by one thread
+    at a time.
     """
 
     def __init__(self, label: str, config: LinkConfig, *,
-                 send_msg_lane: _Lane, send_blob_lane: _Lane,
-                 recv_msg: Callable[[float | None], bytes],
-                 recv_blob: Callable[[float | None], bytes],
+                 send_msg: _Send, send_blob: _Send,
+                 recv_msg: _Receive, recv_blob: _Receive,
                  on_close: Callable[[], None],
-                 trace: TraceRecorder | None = None,
-                 copy_blobs: bool = False):
+                 trace: TraceRecorder | None = None):
         self.label = label
         self.config = config
         self.trace = trace
-        self._send_msg_lane = send_msg_lane
-        self._send_blob_lane = send_blob_lane
+        self._send_msg = send_msg
+        self._send_blob = send_blob
         self._recv_msg = recv_msg
         self._recv_blob = recv_blob
         self._on_close = on_close
-        self._copy_blobs = copy_blobs
+        self._send_lock = threading.Lock()
+        self._blob_free_at = 0.0
         self._closed = False
-        self._count_lock = threading.Lock()
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def _account_sent(self, n: int) -> None:
-        with self._count_lock:
-            self.bytes_sent += n
-
-    def _account_received(self, n: int) -> None:
-        with self._count_lock:
-            self.bytes_received += n
-
     def send_message(self, msg: Message) -> None:
+        """Queue a message for delivery ``latency`` from now."""
         if self._closed:
             raise PeerClosedError("endpoint closed")
         frame = encode_message(msg)
-        if self.trace is not None:
-            self.trace.record("send_msg", frame)
-        self._account_sent(len(frame))
-        self._send_msg_lane.submit(frame, len(frame))
+        with self._send_lock:
+            if self.trace is not None:
+                self.trace.record("send_msg", frame)
+            self.bytes_sent += len(frame)
+            self._send_msg(time.monotonic() + self.config.latency, frame)
 
     def recv_message(self, timeout: float | None = None) -> Message:
-        frame = self._recv_msg(timeout)
+        frame = self._arrive(self._recv_msg, timeout)
         if self.trace is not None:
             self.trace.record("recv_msg", frame)
-        self._account_received(len(frame))
         return decode_message(frame)
 
-    def send_blob(self, data) -> TransferHandle:
-        """Start an asynchronous bulk transfer of ``data``.
+    def send_blob(self, data) -> None:
+        """Hand ``data`` to the bulk channel; returns once the bytes are
+        handed off, so the caller may reuse ``data`` at once.
 
-        Returns immediately; the handle completes once the simulated
-        transfer time has elapsed and the bytes are with the peer. The
-        caller must not modify ``data`` until then (in-process links snapshot
-        it up front, socket links write it out from the live buffer).
+        The transfer is delivered ``link_time`` after the previous blob in
+        this direction is delivered, or after now if that is later.
         """
         if self._closed:
             raise PeerClosedError("endpoint closed")
-        nbytes = len(data)
-        if self.trace is not None:
-            self.trace.record("send_blob", bytes(data))
-        payload = bytes(data) if self._copy_blobs else data
-        self._account_sent(nbytes)
-        handle = TransferHandle()
-        self._send_blob_lane.submit(payload, nbytes, handle)
-        return handle
+        with self._send_lock:
+            if self.trace is not None:
+                self.trace.record("send_blob", data)
+            now = time.monotonic()
+            start = now if now > self._blob_free_at else self._blob_free_at
+            self._blob_free_at = start + link_time(len(data), self.config)
+            self.bytes_sent += len(data)
+            self._send_blob(self._blob_free_at, data)
 
     def recv_blob(self, timeout: float | None = None) -> bytes:
-        blob = self._recv_blob(timeout)
+        blob = self._arrive(self._recv_blob, timeout)
         if self.trace is not None:
             self.trace.record("recv_blob", blob)
-        self._account_received(len(blob))
         return blob
 
+    def _arrive(self, recv: _Receive, timeout: float | None) -> bytes:
+        deadline, data = recv(timeout)
+        self.bytes_received += len(data)
+        delay = deadline - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        return data
+
     def close(self) -> None:
-        """Flush pending sends, then tear the endpoint down. Idempotent."""
+        """Tear the endpoint down; what was sent still reaches the peer at
+        its deadline. Idempotent."""
         if self._closed:
             return
         self._closed = True
-        self._send_msg_lane.stop()
-        self._send_blob_lane.stop()
         self._on_close()
 
 
-def _queue_receiver(q: queue.Queue) -> Callable[[float | None], bytes]:
-    def recv(timeout: float | None = None) -> bytes:
+_CLOSED = object()
+
+
+def _queue_receiver(q: queue.SimpleQueue) -> _Receive:
+    def recv(timeout: float | None = None) -> tuple[float, bytes]:
         try:
             item = q.get(timeout=timeout)
         except queue.Empty:
@@ -341,38 +242,33 @@ def _queue_receiver(q: queue.Queue) -> Callable[[float | None], bytes]:
 def create_endpoint_pair(config: LinkConfig,
                          host_trace: TraceRecorder | None = None
                          ) -> tuple[Endpoint, Endpoint]:
-    """In-process link: two live endpoints sharing paced queues."""
-    shared = _QueuePair()
+    """In-process link: two live endpoints over four queues. Blobs are
+    copied at the boundary so each side owns its bytes (the isolation a DMA
+    copy gives)."""
+    to_device_msgs, to_device_blobs, to_host_msgs, to_host_blobs = (
+        queue.SimpleQueue() for _ in range(4))
 
-    def make_side(label: str, out_msgs: queue.Queue, out_blobs: queue.Queue,
-                  in_msgs: queue.Queue, in_blobs: queue.Queue,
+    def make_side(label: str, out_msgs: queue.SimpleQueue,
+                  out_blobs: queue.SimpleQueue, in_msgs: queue.SimpleQueue,
+                  in_blobs: queue.SimpleQueue,
                   trace: TraceRecorder | None) -> Endpoint:
-        def on_error(exc: Exception) -> None:
-            pass  # queue delivery cannot fail
-
-        msg_lane = _Lane(f"{label}-msg-out", config, occupancy=False,
-                         deliver=out_msgs.put, on_error=on_error)
-        blob_lane = _Lane(f"{label}-blob-out", config, occupancy=True,
-                          deliver=out_blobs.put, on_error=on_error)
-        msg_lane.start()
-        blob_lane.start()
-
         def on_close():
-            out_msgs.put(_CLOSED)
-            out_blobs.put(_CLOSED)
-            in_msgs.put(_CLOSED)
-            in_blobs.put(_CLOSED)
+            for q in (out_msgs, out_blobs, in_msgs, in_blobs):
+                q.put(_CLOSED)
 
-        return Endpoint(label, config,
-                        send_msg_lane=msg_lane, send_blob_lane=blob_lane,
-                        recv_msg=_queue_receiver(in_msgs),
-                        recv_blob=_queue_receiver(in_blobs),
-                        on_close=on_close, trace=trace, copy_blobs=True)
+        return Endpoint(
+            label, config,
+            send_msg=lambda deadline, frame: out_msgs.put((deadline, frame)),
+            send_blob=lambda deadline, data: out_blobs.put(
+                (deadline, bytes(data))),
+            recv_msg=_queue_receiver(in_msgs),
+            recv_blob=_queue_receiver(in_blobs),
+            on_close=on_close, trace=trace)
 
-    host = make_side("host", shared.to_device_msgs, shared.to_device_blobs,
-                     shared.to_host_msgs, shared.to_host_blobs, host_trace)
-    device = make_side("device", shared.to_host_msgs, shared.to_host_blobs,
-                       shared.to_device_msgs, shared.to_device_blobs, None)
+    host = make_side("host", to_device_msgs, to_device_blobs,
+                     to_host_msgs, to_host_blobs, host_trace)
+    device = make_side("device", to_host_msgs, to_host_blobs,
+                       to_device_msgs, to_device_blobs, None)
     return host, device
 
 
@@ -385,6 +281,8 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     while len(buf) < n:
         try:
             chunk = sock.recv(n - len(buf))
+        except socket.timeout:
+            raise HandshakeTimeoutError("timed out waiting for peer") from None
         except OSError as exc:
             raise PeerClosedError(str(exc)) from None
         if not chunk:
@@ -393,48 +291,33 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-def _set_timeout(sock: socket.socket, timeout: float | None) -> None:
-    try:
-        sock.settimeout(timeout)
-    except OSError:
-        raise PeerClosedError("socket closed") from None
-
-
-def _socket_msg_receiver(sock: socket.socket) -> Callable[[float | None], bytes]:
-    def recv(timeout: float | None = None) -> bytes:
-        if timeout is not None:
-            _set_timeout(sock, timeout)
+def _socket_sender(sock: socket.socket) -> _Send:
+    def send(deadline: float, data) -> None:
         try:
-            header = _read_exact(sock, _MESSAGE_HEADER.size)
-        except socket.timeout:
-            raise HandshakeTimeoutError("timed out waiting for peer") from None
+            sock.sendall(_FRAME.pack(deadline, len(data)) + data)
+        except OSError as exc:
+            raise PeerClosedError(str(exc)) from None
+    return send
+
+
+def _socket_receiver(sock: socket.socket) -> _Receive:
+    def recv(timeout: float | None = None) -> tuple[float, bytes]:
+        # The timeout bounds the wait for a frame to start, not its body.
+        if timeout is not None:
+            try:
+                sock.settimeout(timeout)
+            except OSError:
+                raise PeerClosedError("socket closed") from None
+        try:
+            header = _read_exact(sock, _FRAME.size)
         finally:
             if timeout is not None:
                 try:
                     sock.settimeout(None)
                 except OSError:
                     pass
-        _, length = _MESSAGE_HEADER.unpack(header)
-        return header + _read_exact(sock, length)
-    return recv
-
-
-def _socket_blob_receiver(sock: socket.socket) -> Callable[[float | None], bytes]:
-    def recv(timeout: float | None = None) -> bytes:
-        if timeout is not None:
-            _set_timeout(sock, timeout)
-        try:
-            header = _read_exact(sock, _BLOB_HEADER.size)
-        except socket.timeout:
-            raise HandshakeTimeoutError("timed out waiting for peer") from None
-        finally:
-            if timeout is not None:
-                try:
-                    sock.settimeout(None)
-                except OSError:
-                    pass
-        (length,) = _BLOB_HEADER.unpack(header)
-        return _read_exact(sock, length)
+        deadline, length = _FRAME.unpack(header)
+        return deadline, _read_exact(sock, length)
     return recv
 
 
@@ -442,23 +325,6 @@ def socket_endpoint(label: str, msg_sock: socket.socket,
                     bulk_sock: socket.socket, config: LinkConfig,
                     trace: TraceRecorder | None = None) -> Endpoint:
     """Wrap a (message, bulk) socket pair in the endpoint contract."""
-
-    def on_error(exc: Exception) -> None:
-        pass  # surfaced through handles and subsequent recv failures
-
-    def deliver_msg(frame: bytes) -> None:
-        msg_sock.sendall(frame)
-
-    def deliver_blob(data) -> None:
-        bulk_sock.sendall(_BLOB_HEADER.pack(len(data)))
-        bulk_sock.sendall(data)
-
-    msg_lane = _Lane(f"{label}-msg-out", config, occupancy=False,
-                     deliver=deliver_msg, on_error=on_error)
-    blob_lane = _Lane(f"{label}-blob-out", config, occupancy=True,
-                      deliver=deliver_blob, on_error=on_error)
-    msg_lane.start()
-    blob_lane.start()
 
     def on_close():
         for s in (msg_sock, bulk_sock):
@@ -469,10 +335,11 @@ def socket_endpoint(label: str, msg_sock: socket.socket,
             s.close()
 
     return Endpoint(label, config,
-                    send_msg_lane=msg_lane, send_blob_lane=blob_lane,
-                    recv_msg=_socket_msg_receiver(msg_sock),
-                    recv_blob=_socket_blob_receiver(bulk_sock),
-                    on_close=on_close, trace=trace, copy_blobs=False)
+                    send_msg=_socket_sender(msg_sock),
+                    send_blob=_socket_sender(bulk_sock),
+                    recv_msg=_socket_receiver(msg_sock),
+                    recv_blob=_socket_receiver(bulk_sock),
+                    on_close=on_close, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +403,38 @@ def parse_host_hello(msg: Message) -> LinkConfig:
     return LinkConfig(bandwidth=bandwidth, latency=latency)
 
 
+def _accept_channels(listener: socket.socket, proc: subprocess.Popen,
+                     timeout: float) -> dict[bytes, socket.socket]:
+    """Accept the worker's two tagged sockets, polling the worker meanwhile
+    so one that exits at startup fails at once with its exit code."""
+    deadline = time.monotonic() + timeout
+    listener.settimeout(_ACCEPT_POLL)
+    conns: list[socket.socket] = []
+    try:
+        while len(conns) < 2:
+            try:
+                conn, _addr = listener.accept()
+            except socket.timeout:
+                code = proc.poll()
+                if code is not None:
+                    raise SpawnError(f"device worker exited with code {code} "
+                                     "before connecting") from None
+                if time.monotonic() >= deadline:
+                    raise HandshakeTimeoutError(
+                        "device worker did not connect in time") from None
+                continue
+            conns.append(conn)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        socks = {_read_exact(conn, 1): conn for conn in conns}
+        if set(socks) != {b"M", b"B"}:
+            raise TransportError("device worker sent bad channel tags")
+        return socks
+    except BaseException:
+        for conn in conns:
+            conn.close()
+        raise
+
+
 def connect(config: LinkConfig, worker_count: int, *,
             trace: TraceRecorder | None = None,
             device_pool=None,
@@ -547,7 +446,9 @@ def connect(config: LinkConfig, worker_count: int, *,
     In-process: spawns the device master loop on a thread. Subprocess:
     launches the device worker executable and meets it on two local
     sockets (message channel first, bulk channel second, each announced by
-    a one-byte tag).
+    a one-byte tag). A worker that exits before connecting raises
+    ``SpawnError`` with its exit code; on every failure the worker is
+    killed and reaped.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
@@ -556,7 +457,7 @@ def connect(config: LinkConfig, worker_count: int, *,
     if config.kind == "in-process":
         host_ep, dev_ep = create_endpoint_pair(config, trace)
         master = threading.Thread(
-            target=device_worker.inproc_device_main,
+            target=device_worker.serve,
             args=(dev_ep, worker_count),
             kwargs={"pool": device_pool,
                     "protocol_version": _device_version or PROTOCOL_VERSION},
@@ -585,28 +486,19 @@ def connect(config: LinkConfig, worker_count: int, *,
         listener.close()
         raise SpawnError(f"cannot launch device worker: {exc}") from exc
 
-    listener.settimeout(handshake_timeout)
-    socks: dict[bytes, socket.socket] = {}
     try:
-        for _ in range(2):
-            conn, _addr = listener.accept()
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            tag = _read_exact(conn, 1)
-            socks[tag] = conn
-        if set(socks) != {b"M", b"B"}:
-            raise TransportError("device worker sent bad channel tags")
-    except socket.timeout:
+        socks = _accept_channels(listener, proc, handshake_timeout)
+        endpoint = socket_endpoint("host", socks[b"M"], socks[b"B"], config,
+                                   trace)
+        try:
+            workers = _host_handshake(endpoint, config, handshake_timeout)
+        except BaseException:
+            endpoint.close()
+            raise
+    except BaseException:
         proc.kill()
-        raise HandshakeTimeoutError(
-            "device worker did not connect in time") from None
+        proc.wait()
+        raise
     finally:
         listener.close()
-
-    endpoint = socket_endpoint("host", socks[b"M"], socks[b"B"], config, trace)
-    try:
-        workers = _host_handshake(endpoint, config, handshake_timeout)
-    except TransportError:
-        endpoint.close()
-        proc.kill()
-        raise
     return DeviceHandle(endpoint, workers, config, process=proc)

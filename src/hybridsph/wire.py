@@ -177,7 +177,6 @@ class StructCodec:
 
 I32_CODEC = StructCodec("<i")
 I64_CODEC = StructCodec("<q")
-F64_CODEC = StructCodec("<d")
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_criterion_05_queue_scheduler_properties():
     assert items == [v + 1 for v in range(2000)]
     peak = max_unresulted_blocks(trace)
     assert 1 <= peak <= 2, f"double-buffering bound violated: {peak}"
-    assert dev.pool.allocated <= 2
+    assert dev.pool.allocated == 1
     assert device_pool.allocated <= 2
     assert dev.pool.allocated + device_pool.allocated <= 4
     report(5, "exactly-once + priority discipline over 200 trials; "

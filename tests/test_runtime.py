@@ -6,13 +6,13 @@ import pytest
 
 from hybridsph import device_worker, runtime
 from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
-from hybridsph.runtime import (BufferPool, DeviceSpec, ItemTooLargeError,
-                               TransferBuffer, WorkQueue, acquire_buffer,
+from hybridsph.runtime import (BufferPool, DeviceSpec, DeviceState,
+                               ItemTooLargeError, TransferBuffer, WorkQueue,
                                connect_device, hybrid_for_each, pack_block,
-                               parse_block, release_buffer)
-from hybridsph.transport import (LinkConfig, Message, MessageKind,
-                                 TraceRecorder, create_endpoint_pair,
-                                 decode_message)
+                               parse_block)
+from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
+                                 MessageKind, PeerClosedError, TraceRecorder,
+                                 create_endpoint_pair, decode_message)
 from hybridsph.wire import (ByteReader, ByteWriter, I32_CODEC, I64_CODEC,
                             register_functor)
 
@@ -115,17 +115,17 @@ class TestPackBlock:
 class TestBufferPool:
     def test_release_then_acquire_reuses_same_buffer(self):
         pool = BufferPool()
-        buf = acquire_buffer(pool, 1024)
-        release_buffer(pool, buf)
-        again = acquire_buffer(pool, 1024)
+        buf = pool.acquire(1024)
+        pool.release(buf)
+        again = pool.acquire(1024)
         assert again is buf
         assert pool.allocated == 1
 
     def test_smaller_pooled_buffers_force_fresh_allocation(self):
         pool = BufferPool()
-        small = acquire_buffer(pool, 64)
-        release_buffer(pool, small)
-        big = acquire_buffer(pool, 4096)
+        small = pool.acquire(64)
+        pool.release(small)
+        big = pool.acquire(4096)
         assert big is not small
         assert pool.allocated == 2
 
@@ -195,7 +195,7 @@ class TestHybridForEach:
         items = list(range(200))  # 100 blocks of 2
         hybrid_for_each(items, SleepAction(0.0002), [dev], host_workers=0)
         host_pool_alloc = dev.pool.allocated
-        assert host_pool_alloc <= 2
+        assert host_pool_alloc == 1
         assert device_pool.allocated <= 2
         assert host_pool_alloc + device_pool.allocated <= 4
 
@@ -297,7 +297,60 @@ class TestHybridForEach:
         assert not done["a"].devices_lost
 
 
+def _scripted_peer(ep, mode: str) -> None:
+    """Device stand-in: answers work block 0, then misbehaves.
+
+    ``"close"`` returns block 0 intact and closes the link; ``"truncated"``
+    returns block 0 cut short by four bytes and waits for the host to close.
+    """
+    try:
+        ep.recv_message()  # FUNCTOR_STATE, inline for SleepAction
+        bid, _ = runtime.WORK_BLOCK_MSG.unpack(ep.recv_message().payload)
+        _, count, reader = parse_block(ep.recv_blob())
+        result = TransferBuffer(1 << 16)
+        writer = result.begin(bid)
+        for _ in range(count):
+            writer.write_u64(reader.read_u64())
+            I64_CODEC.serialize(I64_CODEC.deserialize(reader) + 1, writer)
+            result.item_count += 1
+        result.finalize()
+        data = bytes(result.data)
+        if mode == "truncated":
+            data = data[:-4]
+        ep.send_message(Message(MessageKind.RESULT_BLOCK,
+                                runtime.WORK_BLOCK_MSG.pack(bid, len(data))))
+        ep.send_blob(data)
+        while mode == "truncated":
+            ep.recv_message()
+    except PeerClosedError:
+        pass
+    finally:
+        ep.close()
+
+
 class TestDeviceLoss:
+    @pytest.mark.parametrize("mode", ["close", "truncated"])
+    def test_scripted_peer_fault_keeps_exactly_once(self, mode):
+        # A lost or malformed device must leave every item applied exactly
+        # once: stranded indices go back to the queue, and a bad result
+        # block writes nothing before it is rejected. The close race is
+        # timing-dependent, so it is tried many times.
+        for trial in range(60):
+            cfg = LinkConfig()
+            host_ep, dev_ep = create_endpoint_pair(cfg)
+            peer = threading.Thread(target=_scripted_peer, args=(dev_ep, mode))
+            peer.start()
+            dev = DeviceState(handle=DeviceHandle(host_ep, 2, cfg,
+                                                  master_thread=peer),
+                              worker_count=2)
+            items = list(range(8))
+            stats = hybrid_for_each(items, SleepAction(0.0), [dev],
+                                    host_workers=0)
+            peer.join(timeout=10.0)
+            assert not peer.is_alive()
+            assert items == [v + 1 for v in range(8)], f"trial {trial}"
+            assert stats.devices_lost == ["device/0"]
+
     def test_killed_subprocess_device_recovers(self):
         dev = connect_device(
             DeviceSpec(worker_count=2, link=LinkConfig(kind="subprocess")), 0)
@@ -340,6 +393,20 @@ class TestDeviceLoss:
             host.close()
             loop.join(timeout=10.0)
             assert not loop.is_alive()
+
+
+class TestHygiene:
+    @pytest.mark.parametrize("kind", ["in-process", "subprocess"])
+    def test_device_call_leaves_no_threads_or_processes(self, kind):
+        before = threading.active_count()
+        dev = connect_device(DeviceSpec(worker_count=2,
+                                        link=LinkConfig(kind=kind)), 0)
+        items = list(range(40))
+        hybrid_for_each(items, SleepAction(0.0002), [dev], host_workers=1)
+        assert items == [v + 1 for v in range(40)]
+        assert threading.active_count() == before
+        if kind == "subprocess":
+            assert dev.handle._process.poll() is not None
 
 
 class TestRunStatistics:

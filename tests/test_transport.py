@@ -1,5 +1,7 @@
 """Link contract: timing model, FIFO, handshake, faults, transport parity."""
 
+import socket
+import sys
 import time
 
 import pytest
@@ -10,7 +12,7 @@ from hybridsph.transport import (HandshakeTimeoutError, LinkConfig, Message,
                                  MessageKind, PeerClosedError, SpawnError,
                                  TraceRecorder, VersionMismatchError, connect,
                                  create_endpoint_pair, decode_message,
-                                 encode_message, link_time)
+                                 encode_message, link_time, socket_endpoint)
 
 
 class TestLinkTime:
@@ -52,8 +54,14 @@ class TestMessageCodec:
 
 
 class TestInProcessPair:
+    """Link contract over the in-process queues; TestSocketPair reruns every
+    test over sockets, so the deadline stamp crosses a byte stream too."""
+
+    def pair(self, config):
+        return create_endpoint_pair(config)
+
     def test_message_fifo(self):
-        host, dev = create_endpoint_pair(LinkConfig())
+        host, dev = self.pair(LinkConfig())
         try:
             payloads = [bytes([i]) * (i % 17) for i in range(60)]
             for p in payloads:
@@ -65,26 +73,25 @@ class TestInProcessPair:
             dev.close()
 
     def test_blob_roundtrip_and_completion(self):
-        host, dev = create_endpoint_pair(LinkConfig())
+        host, dev = self.pair(LinkConfig())
         try:
-            handle = host.send_blob(b"x" * 1000)
+            data = bytearray(b"x" * 1000)
+            host.send_blob(data)
+            data[:] = b"y" * 1000  # the sender may reuse its buffer at once
             assert dev.recv_blob() == b"x" * 1000
-            assert handle.wait(5.0)
-            assert handle.error is None
+            assert host.bytes_sent == dev.bytes_received == 1000
         finally:
             host.close()
             dev.close()
 
     def test_zero_length_blob_completes_after_latency(self):
         cfg = LinkConfig(bandwidth=1e12, latency=0.05)
-        host, dev = create_endpoint_pair(cfg)
+        host, dev = self.pair(cfg)
         try:
             t0 = time.perf_counter()
-            handle = host.send_blob(b"")
-            assert not handle.done() or time.perf_counter() - t0 >= 0.04
+            host.send_blob(b"")
             assert dev.recv_blob() == b""
-            assert handle.wait(5.0)
-            assert handle.completed_at - t0 >= 0.045
+            assert time.perf_counter() - t0 >= 0.045
         finally:
             host.close()
             dev.close()
@@ -92,35 +99,33 @@ class TestInProcessPair:
     def test_same_direction_transfers_serialize(self):
         # three transfers, each ~60 ms of simulated time
         cfg = LinkConfig(bandwidth=100_000.0, latency=0.01)
-        host, dev = create_endpoint_pair(cfg)
+        host, dev = self.pair(cfg)
         try:
             sizes = [5000, 5000, 5000]
             t0 = time.perf_counter()
-            handles = [host.send_blob(b"z" * n) for n in sizes]
-            for h in handles:
-                assert h.wait(10.0)
-            done = [h.completed_at for h in handles]
-            assert done == sorted(done)  # completion order == submit order
+            for i, n in enumerate(sizes):
+                host.send_blob(bytes([i]) * n)
+            done = []
+            for i, n in enumerate(sizes):
+                assert dev.recv_blob() == bytes([i]) * n  # submit order
+                done.append(time.perf_counter())
             total = done[-1] - t0
             expected = sum(link_time(n, cfg) for n in sizes)
             assert total >= 0.9 * expected
-            for _ in sizes:
-                dev.recv_blob()
         finally:
             host.close()
             dev.close()
 
     def test_opposite_directions_are_full_duplex(self):
         cfg = LinkConfig(bandwidth=100_000.0, latency=0.001)
-        host, dev = create_endpoint_pair(cfg)
+        host, dev = self.pair(cfg)
         try:
             n = 10_000  # ~100 ms each way
             t0 = time.perf_counter()
-            h1 = host.send_blob(b"a" * n)
-            h2 = dev.send_blob(b"b" * n)
+            host.send_blob(b"a" * n)
+            dev.send_blob(b"b" * n)
             assert dev.recv_blob() == b"a" * n
             assert host.recv_blob() == b"b" * n
-            assert h1.wait(10.0) and h2.wait(10.0)
             elapsed = time.perf_counter() - t0
             one_way = link_time(n, cfg)
             assert elapsed < 1.8 * one_way  # far below the serialized 2x
@@ -129,7 +134,7 @@ class TestInProcessPair:
             dev.close()
 
     def test_recv_after_peer_close_reports_peer_closed(self):
-        host, dev = create_endpoint_pair(LinkConfig())
+        host, dev = self.pair(LinkConfig())
         host.send_message(Message(MessageKind.SHUTDOWN))
         assert dev.recv_message().kind == MessageKind.SHUTDOWN
         host.close()
@@ -138,8 +143,8 @@ class TestInProcessPair:
         dev.close()
 
     def test_two_pairs_no_cross_talk(self):
-        a_host, a_dev = create_endpoint_pair(LinkConfig())
-        b_host, b_dev = create_endpoint_pair(LinkConfig())
+        a_host, a_dev = self.pair(LinkConfig())
+        b_host, b_dev = self.pair(LinkConfig())
         try:
             a_host.send_message(Message(MessageKind.WORK_BLOCK, b"for-a"))
             b_host.send_message(Message(MessageKind.WORK_BLOCK, b"for-b"))
@@ -148,6 +153,14 @@ class TestInProcessPair:
         finally:
             for ep in (a_host, a_dev, b_host, b_dev):
                 ep.close()
+
+
+class TestSocketPair(TestInProcessPair):
+    def pair(self, config):
+        msg_host, msg_dev = socket.socketpair()
+        bulk_host, bulk_dev = socket.socketpair()
+        return (socket_endpoint("host", msg_host, bulk_host, config),
+                socket_endpoint("device", msg_dev, bulk_dev, config))
 
 
 class TestConnect:
@@ -174,12 +187,20 @@ class TestConnect:
 
     def test_unresponsive_worker_is_handshake_timeout(self):
         # a command that starts fine but never connects back
-        import sys
         with pytest.raises(HandshakeTimeoutError):
             connect(LinkConfig(kind="subprocess"), worker_count=1,
                     worker_command=[sys.executable, "-c",
                                     "import time; time.sleep(5)"],
                     handshake_timeout=0.8)
+
+    def test_worker_that_exits_at_startup_fails_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(SpawnError, match="3"):
+            connect(LinkConfig(kind="subprocess"), worker_count=1,
+                    worker_command=[sys.executable, "-c",
+                                    "raise SystemExit(3)"],
+                    handshake_timeout=30)
+        assert time.perf_counter() - t0 < 5.0
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
