@@ -6,8 +6,13 @@ that cell (or END), and ``next[i]`` links particle ``i`` to the next particle
 sharing its cell. Rebuilding the index each step touches no allocator once
 the arrays exist, which is the whole point of the layout.
 
-Positions outside the grid region clamp to the boundary cells, so queries
-stay complete for an unbounded scene.
+This is the only module that knows cell geometry. One clamp
+(``_axis_cell``) maps a position to its cell for index builds, point lookups
+and query cubes alike; positions outside the grid region clamp to the
+boundary cells, so queries stay complete for an unbounded scene. One query,
+``SpatialIndex.within``, serves every neighbour sum (SPH phases, field
+evaluation, volume rendering); ``neighbor_candidates`` is the unfiltered
+reference enumerator over the same cells in the same order.
 """
 
 from __future__ import annotations
@@ -38,34 +43,25 @@ class GridSpec:
         return nx * ny * nz
 
 
+def _axis_cell(v: float, origin: float, inv: float, n: int) -> int:
+    """Cell coordinate of ``v`` along one axis, clamped to ``[0, n - 1]``.
+
+    The one clamp of this package: index builds, point lookups and query
+    cubes all go through it, so they agree on the cell of every position.
+    """
+    if v < origin:
+        return 0
+    i = int((v - origin) * inv)
+    return i if i < n else n - 1
+
+
 def cell_coords(x: float, y: float, z: float, grid: GridSpec) -> tuple[int, int, int]:
     """Clamped integer cell coordinates of a point."""
     ox, oy, oz = grid.origin
     nx, ny, nz = grid.dims
     inv = 1.0 / grid.cell_size
-    ix = int((x - ox) * inv)
-    iy = int((y - oy) * inv)
-    iz = int((z - oz) * inv)
-    # int() truncates toward zero; points below the origin need floor.
-    if x < ox:
-        ix -= 1
-    if y < oy:
-        iy -= 1
-    if z < oz:
-        iz -= 1
-    if ix < 0:
-        ix = 0
-    elif ix >= nx:
-        ix = nx - 1
-    if iy < 0:
-        iy = 0
-    elif iy >= ny:
-        iy = ny - 1
-    if iz < 0:
-        iz = 0
-    elif iz >= nz:
-        iz = nz - 1
-    return ix, iy, iz
+    return (_axis_cell(x, ox, inv, nx), _axis_cell(y, oy, inv, ny),
+            _axis_cell(z, oz, inv, nz))
 
 
 def cell_of(position: Sequence[float], grid: GridSpec) -> int:
@@ -109,28 +105,47 @@ class SpatialIndex:
         ox, oy, oz = grid.origin
         nx, ny, nz = grid.dims
         inv = 1.0 / grid.cell_size
-        nx1, ny1, nz1 = nx - 1, ny - 1, nz - 1
+        axis = _axis_cell
         for i in range(n):
             p = particles[i]
-            ix = int((p.x - ox) * inv)
-            iy = int((p.y - oy) * inv)
-            iz = int((p.z - oz) * inv)
-            if ix < 0 or p.x < ox:
-                ix = 0
-            elif ix > nx1:
-                ix = nx1
-            if iy < 0 or p.y < oy:
-                iy = 0
-            elif iy > ny1:
-                iy = ny1
-            if iz < 0 or p.z < oz:
-                iz = 0
-            elif iz > nz1:
-                iz = nz1
-            c = ix + nx * (iy + ny * iz)
+            c = (axis(p.x, ox, inv, nx)
+                 + nx * (axis(p.y, oy, inv, ny) + ny * axis(p.z, oz, inv, nz)))
             nxt[i] = heads[c]
             heads[c] = i
         return self
+
+    def within(self, particles: Sequence, x: float, y: float, z: float,
+               radius: float) -> list[tuple]:
+        """Every particle strictly closer than ``radius`` to ``(x, y, z)``.
+
+        Entries are ``(q, dx, dy, dz, r2)`` with ``dx = x - q.x`` (likewise
+        for y and z) and ``r2 = dx*dx + dy*dy + dz*dz``, in the order of
+        :func:`neighbor_candidates`. Every neighbour sum in the package runs
+        through this one walk, so host and device add the same terms in the
+        same order and get the same bits.
+        """
+        x0, x1, y0, y1, z0, z1 = cell_range((x, y, z), radius, self.grid)
+        nx, ny, _ = self.grid.dims
+        heads = self.heads
+        nxt = self.next
+        r2max = radius * radius
+        found: list[tuple] = []
+        add = found.append
+        for iz in range(z0, z1 + 1):
+            zb = ny * iz
+            for iy in range(y0, y1 + 1):
+                rb = nx * (iy + zb)
+                for j in heads[rb + x0:rb + x1 + 1]:
+                    while j != END:
+                        q = particles[j]
+                        dx = x - q.x
+                        dy = y - q.y
+                        dz = z - q.z
+                        r2 = dx * dx + dy * dy + dz * dz
+                        if r2 < r2max:
+                            add((q, dx, dy, dz, r2))
+                        j = nxt[j]
+        return found
 
 
 def build_index(particles: Sequence, grid: GridSpec,

@@ -1,22 +1,22 @@
 """Volume ray casting of a particle state snapshot.
 
 One pinhole ray per pixel, density sampled at fixed intervals along it via
-the spatial index, front-to-back emission-absorption compositing with early
-exit once the pixel is effectively opaque. Sampling is jitter-free (interval
-midpoints), accumulation is linear-light, and rows partition across the
-shared pool with each pixel written to its own slot, so the output bytes are
-identical for any worker count.
+``SpatialIndex.within``, front-to-back emission-absorption compositing with
+early exit once the pixel is effectively opaque. Sampling is jitter-free
+(interval midpoints) and accumulation is linear-light. Rows are the items of
+a ``hybrid_for_each`` call; each row comes back as its own bytes, so the
+output is identical for any worker count.
 
-Rendering always runs on the local pool; snapshots never ship to devices.
+That call is host-only: snapshots never ship to devices.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .grid import build_index
+from .runtime import hybrid_for_each
 from .sph import SimulationState, kernel_w
 
 DEFAULT_PALETTE = (
@@ -102,19 +102,24 @@ class RenderStats:
     samples: int = 0
 
 
-def generate_ray(camera: Camera, px: int, py: int):
-    """Ray through the center of pixel (px, py); direction has unit length."""
+def _pixel_direction(camera: Camera, basis, tan_half: float,
+                     px: int, py: int) -> tuple[float, float, float]:
+    """Unit direction through the center of pixel (px, py), given the
+    camera's ``basis()`` and ``tan(fov / 2)``."""
     w, h = camera.resolution
-    right, true_up = camera.basis()
-    tan_half = math.tan(camera.fov / 2.0)
-    aspect = w / h
-    u = ((px + 0.5) / w * 2.0 - 1.0) * tan_half * aspect
+    right, true_up = basis
+    u = ((px + 0.5) / w * 2.0 - 1.0) * tan_half * (w / h)
     v = (1.0 - (py + 0.5) / h * 2.0) * tan_half
     d = camera.direction
-    raw = (d[0] + u * right[0] + v * true_up[0],
-           d[1] + u * right[1] + v * true_up[1],
-           d[2] + u * right[2] + v * true_up[2])
-    return camera.origin, _normalize(raw)
+    return _normalize((d[0] + u * right[0] + v * true_up[0],
+                       d[1] + u * right[1] + v * true_up[1],
+                       d[2] + u * right[2] + v * true_up[2]))
+
+
+def generate_ray(camera: Camera, px: int, py: int):
+    """Ray through the center of pixel (px, py); direction has unit length."""
+    return camera.origin, _pixel_direction(
+        camera, camera.basis(), math.tan(camera.fov / 2.0), px, py)
 
 
 def sample_medium(state: SimulationState, point, palette=DEFAULT_PALETTE):
@@ -127,43 +132,17 @@ def sample_medium(state: SimulationState, point, palette=DEFAULT_PALETTE):
     """
     x, y, z = point
     h = state.params.h
-    h2 = h * h
-    parts = state.particles
-    index = state.index
-    heads = index.heads
-    nxt = index.next
-    grid = index.grid
-    nx, ny, nz = grid.dims
-    ox, oy, oz = grid.origin
-    inv = 1.0 / grid.cell_size
     sqrt = math.sqrt
-
-    from .sph import _cell_bounds
-    x0, x1, y0, y1, z0, z1 = _cell_bounds(x, y, z, h, ox, oy, oz, inv,
-                                          nx, ny, nz)
+    last = len(palette) - 1
     rho = 0.0
     cr = cg = cb = 0.0
-    for iz in range(z0, z1 + 1):
-        zb = ny * iz
-        for iy in range(y0, y1 + 1):
-            rb = nx * (iy + zb)
-            for ix in range(x0, x1 + 1):
-                j = heads[rb + ix]
-                while j != -1:
-                    q = parts[j]
-                    dx = x - q.x
-                    dy = y - q.y
-                    dz = z - q.z
-                    r2 = dx * dx + dy * dy + dz * dz
-                    if r2 < h2:
-                        w = q.mass * kernel_w(sqrt(r2), h)
-                        rho += w
-                        col = palette[q.material if q.material < len(palette)
-                                      else len(palette) - 1]
-                        cr += w * col[0]
-                        cg += w * col[1]
-                        cb += w * col[2]
-                    j = nxt[j]
+    for q, _, _, _, r2 in state.index.within(state.particles, x, y, z, h):
+        w = q.mass * kernel_w(sqrt(r2), h)
+        rho += w
+        col = palette[q.material if q.material < last else last]
+        cr += w * col[0]
+        cg += w * col[1]
+        cb += w * col[2]
     if rho <= 0.0:
         return 0.0, (0.0, 0.0, 0.0)
     return rho, (cr / rho, cg / rho, cb / rho)
@@ -278,69 +257,57 @@ def _quantize(c: float) -> int:
     return int(c * 255.0 + 0.5)
 
 
+class _RowAction:
+    """Host-only ``hybrid_for_each`` functor: a row index becomes that row's
+    RGB bytes and the number of samples its rays took."""
+
+    def __init__(self, state: SimulationState, camera: Camera,
+                 params: RenderParams):
+        self.state = state
+        self.camera = camera
+        self.params = params
+        self.basis = camera.basis()
+        self.tan_half = math.tan(camera.fov / 2.0)
+        self.bounds = _particle_bounds(state, state.params.h)
+
+    def apply(self, py: int) -> tuple[bytes, int]:
+        camera = self.camera
+        w = camera.resolution[0]
+        row = bytearray(3 * w)
+        stats = RenderStats()
+        for px in range(w):
+            ray = (camera.origin, _pixel_direction(camera, self.basis,
+                                                   self.tan_half, px, py))
+            r, g, b = composite_ray(self.state, ray, self.params, stats=stats,
+                                    bounds=self.bounds)
+            row[3 * px] = _quantize(r)
+            row[3 * px + 1] = _quantize(g)
+            row[3 * px + 2] = _quantize(b)
+        return bytes(row), stats.samples
+
+
 def render_frame(state: SimulationState, camera: Camera,
                  params: RenderParams | None = None,
-                 workers: int | None = None, pool=None,
+                 workers: int | None = None,
                  stats: RenderStats | None = None) -> Image:
     """Render the snapshot to an 8-bit RGB image.
 
     Builds a fresh spatial index over the snapshot's current positions (the
     simulation may have moved particles since the state's index was built).
-    Rows are claimed from a shared counter by the calling thread plus pool
-    workers; any worker count yields identical bytes.
+    Rows are the items of a host-only ``hybrid_for_each`` over ``workers``
+    host workers; any worker count yields identical bytes.
     """
-    from .runtime import default_host_workers, shared_pool
-
     params = params or RenderParams()
     w, h = camera.resolution
-    img = Image(w, h, bytearray(3 * w * h))
     state.index = build_index(state.particles, state.params.index_grid(),
                               state.index)
+    rows = list(range(h))
+    hybrid_for_each(rows, _RowAction(state, camera, params),
+                    host_workers=workers)
     if stats is not None:
         stats.rays += w * h
-
-    right, true_up = camera.basis()
-    tan_half = math.tan(camera.fov / 2.0)
-    aspect = w / h
-    d = camera.direction
-    origin = camera.origin
-
-    bounds = _particle_bounds(state, state.params.h)
-    row_counter = [0]
-    counter_lock = threading.Lock()
-    pixels = img.pixels
-
-    def render_rows():
-        srow = RenderStats()
-        while True:
-            with counter_lock:
-                py = row_counter[0]
-                if py >= h:
-                    break
-                row_counter[0] += 1
-            base = 3 * w * py
-            v = (1.0 - (py + 0.5) / h * 2.0) * tan_half
-            for px in range(w):
-                u = ((px + 0.5) / w * 2.0 - 1.0) * tan_half * aspect
-                direction = _normalize((d[0] + u * right[0] + v * true_up[0],
-                                        d[1] + u * right[1] + v * true_up[1],
-                                        d[2] + u * right[2] + v * true_up[2]))
-                r, g, b = composite_ray(state, (origin, direction), params,
-                                        stats=srow, bounds=bounds)
-                off = base + 3 * px
-                pixels[off] = _quantize(r)
-                pixels[off + 1] = _quantize(g)
-                pixels[off + 2] = _quantize(b)
-        return srow
-
-    k = default_host_workers() if workers is None else workers
-    executor = pool or shared_pool()
-    futures = [executor.submit(render_rows) for _ in range(1, k)]
-    first = render_rows()
-    rows_stats = [first] + [f.result() for f in futures]
-    if stats is not None:
-        stats.samples += sum(s.samples for s in rows_stats)
-    return img
+        stats.samples += sum(n for _, n in rows)
+    return Image(w, h, bytearray(b"".join(row for row, _ in rows)))
 
 
 def write_ppm(image: Image, path) -> None:

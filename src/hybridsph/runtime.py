@@ -261,7 +261,7 @@ _shared_pool: ThreadPoolExecutor | None = None
 
 
 def shared_pool() -> ThreadPoolExecutor:
-    """Process-wide worker pool shared by hybrid loops and the renderer.
+    """Process-wide worker pool shared by every hybrid_for_each call.
 
     Sized generously past the logical core count because tasks are often
     waiting (simulated delays, transfers) rather than computing; explicit
@@ -436,7 +436,6 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
                     host_workers: int | None = None, chunk: int = 1,
                     buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
                     hot_buffers: int = 2,
-                    pool: ThreadPoolExecutor | None = None,
                     queue_trace: list | None = None,
                     record_units: bool = False) -> RunStatistics:
     """Apply ``functor`` to every item of ``sequence``, in place, using the
@@ -489,7 +488,7 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
         t.start()
 
     k = default_host_workers() if host_workers is None else host_workers
-    executor = pool or shared_pool()
+    executor = shared_pool()
     worker_results = []
     worker_errors: list[BaseException] = []
 

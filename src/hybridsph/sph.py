@@ -8,9 +8,10 @@ masses; phase 3 writes acceleration and reads everything phase 2 produced).
 That independence is what lets a step farm particles out to host workers and
 devices in any order and still produce bit-identical results.
 
-All field sums accumulate in spatial-index chain order, which is fully
-determined by the particle array and the grid, so host and device evaluate
-identical floating-point sequences.
+All field sums are plain loops over ``SpatialIndex.within``, so they
+accumulate in spatial-index chain order, which is fully determined by the
+particle array and the grid: host and device evaluate identical
+floating-point sequences.
 """
 
 from __future__ import annotations
@@ -212,21 +213,9 @@ def field_property(point: Sequence[float], state: SimulationState,
     """
     x, y, z = point
     h = state.params.h
-    h2 = h * h
-    parts = state.particles
-    index = state.index
     scalar_total = 0.0
     vec_total: list[float] | None = None
-    from .grid import neighbor_candidates
-
-    for j in neighbor_candidates(index, point, h):
-        p = parts[j]
-        dx = x - p.x
-        dy = y - p.y
-        dz = z - p.z
-        r2 = dx * dx + dy * dy + dz * dz
-        if r2 >= h2:
-            continue
+    for p, _, _, _, r2 in state.index.within(state.particles, x, y, z, h):
         w = kernel_w(math.sqrt(r2), h) * p.mass / p.density
         a = accessor(p)
         if isinstance(a, (int, float)):
@@ -314,37 +303,12 @@ def phase2_density_gravity(state: SimulationState, p: Particle) -> Particle:
     """
     params = state.params
     h = params.h
-    h2 = h * h
     px, py, pz = p.x, p.y, p.z
-    parts = state.particles
-    index = state.index
-    heads = index.heads
-    nxt = index.next
-    grid = index.grid
-    nx, ny, nz = grid.dims
-    ox, oy, oz = grid.origin
-    inv = 1.0 / grid.cell_size
     sqrt = math.sqrt
     kw = kernel_w
-
-    x0, x1, y0, y1, z0, z1 = _cell_bounds(px, py, pz, h, ox, oy, oz, inv,
-                                          nx, ny, nz)
     rho = 0.0
-    for iz in range(z0, z1 + 1):
-        zb = ny * iz
-        for iy in range(y0, y1 + 1):
-            rb = nx * (iy + zb)
-            for ix in range(x0, x1 + 1):
-                j = heads[rb + ix]
-                while j != -1:
-                    q = parts[j]
-                    dx = px - q.x
-                    dy = py - q.y
-                    dz = pz - q.z
-                    r2 = dx * dx + dy * dy + dz * dz
-                    if r2 < h2:
-                        rho += q.mass * kw(sqrt(r2), h)
-                    j = nxt[j]
+    for q, _, _, _, r2 in state.index.within(state.particles, px, py, pz, h):
+        rho += q.mass * kw(sqrt(r2), h)
     p.density = rho
     p.pressure = params.k_eos * rho
     gx, gy, gz = state.gravity.sample(px, py, pz)
@@ -364,48 +328,23 @@ def phase3_pressure(state: SimulationState, p: Particle) -> Particle:
     no defined direction, so it contributes zero force. Requires phase 2
     densities (> 0) for every particle in range.
     """
-    params = state.params
-    h = params.h
-    h2 = h * h
+    h = state.params.h
     px, py, pz = p.x, p.y, p.z
     self_term = p.pressure / (p.density * p.density)
-    parts = state.particles
-    index = state.index
-    heads = index.heads
-    nxt = index.next
-    grid = index.grid
-    nx, ny, nz = grid.dims
-    ox, oy, oz = grid.origin
-    inv = 1.0 / grid.cell_size
     sqrt = math.sqrt
     kdw = kernel_dw
-
-    x0, x1, y0, y1, z0, z1 = _cell_bounds(px, py, pz, h, ox, oy, oz, inv,
-                                          nx, ny, nz)
     ax = p.ax
     ay = p.ay
     az = p.az
-    for iz in range(z0, z1 + 1):
-        zb = ny * iz
-        for iy in range(y0, y1 + 1):
-            rb = nx * (iy + zb)
-            for ix in range(x0, x1 + 1):
-                j = heads[rb + ix]
-                while j != -1:
-                    q = parts[j]
-                    dx = px - q.x
-                    dy = py - q.y
-                    dz = pz - q.z
-                    r2 = dx * dx + dy * dy + dz * dz
-                    if 0.0 < r2 < h2:
-                        r = sqrt(r2)
-                        coef = (q.mass
-                                * (self_term + q.pressure / (q.density * q.density))
-                                * kdw(r, h) / r)
-                        ax -= coef * dx
-                        ay -= coef * dy
-                        az -= coef * dz
-                    j = nxt[j]
+    for q, dx, dy, dz, r2 in state.index.within(state.particles, px, py, pz, h):
+        if r2 > 0.0:
+            r = sqrt(r2)
+            coef = (q.mass
+                    * (self_term + q.pressure / (q.density * q.density))
+                    * kdw(r, h) / r)
+            ax -= coef * dx
+            ay -= coef * dy
+            az -= coef * dz
     p.ax = ax
     p.ay = ay
     p.az = az
@@ -425,35 +364,6 @@ def phase4_integrate(p: Particle, dt: float) -> Particle:
     p.ay = 0.0
     p.az = 0.0
     return p
-
-
-def _cell_bounds(px, py, pz, radius, ox, oy, oz, inv, nx, ny, nz):
-    """Clamped cell coordinate bounds of the radius cube around a point."""
-    x0 = int((px - radius - ox) * inv)
-    if x0 < 0 or px - radius < ox:
-        x0 = 0
-    x1 = int((px + radius - ox) * inv)
-    if x1 > nx - 1:
-        x1 = nx - 1
-    elif x1 < 0:
-        x1 = 0
-    y0 = int((py - radius - oy) * inv)
-    if y0 < 0 or py - radius < oy:
-        y0 = 0
-    y1 = int((py + radius - oy) * inv)
-    if y1 > ny - 1:
-        y1 = ny - 1
-    elif y1 < 0:
-        y1 = 0
-    z0 = int((pz - radius - oz) * inv)
-    if z0 < 0 or pz - radius < oz:
-        z0 = 0
-    z1 = int((pz + radius - oz) * inv)
-    if z1 > nz - 1:
-        z1 = nz - 1
-    elif z1 < 0:
-        z1 = 0
-    return x0, x1, y0, y1, z0, z1
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,35 @@ def brute_gravity_at(particles, point, G, epsilon) -> tuple:
     return gx, gy, gz
 
 
+def lone_particle_positions(params) -> list:
+    """The world-box center plus one point 2h past the middle of each of the
+    box's six faces: positions whose neighbourhood must still hold the
+    particle itself, because queries clamp to the boundary cells."""
+    lo, hi = params.world_box
+    center = tuple((a + b) / 2 for a, b in zip(lo, hi))
+    out = [center]
+    for axis in range(3):
+        for face in (lo[axis] - 2 * params.h, hi[axis] + 2 * params.h):
+            pt = list(center)
+            pt[axis] = face
+            out.append(tuple(pt))
+    return out
+
+
 def rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale
+
+
+@pytest.fixture(scope="session")
+def golden_scene():
+    """``make_scene(3000, seed=7)`` after two host-only steps, inside the
+    world box. Shared read-only by the golden-digest tests."""
+    from hybridsph.sph import make_scene, simulation_step
+    state = make_scene(3000, seed=7)
+    for _ in range(2):
+        simulation_step(state, [], host_workers=2)
+    return state
 
 
 @pytest.fixture

@@ -140,3 +140,24 @@ class TestNeighborCandidates:
         index = build_index([], GRID)
         with pytest.raises(ValueError):
             list(neighbor_candidates(index, (0, 0, 0), 0.0))
+
+
+class TestWithin:
+    def test_is_candidates_filtered_in_chain_order(self):
+        # Scene and query points spill past every face of the grid.
+        parts = random_particles(500, seed=33, span=1.4)
+        index = build_index(parts, GRID)
+        rng = random.Random(78)
+        radius = 0.2
+        for _ in range(200):
+            x, y, z = (rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6),
+                       rng.uniform(-1.6, 1.6))
+            got = index.within(parts, x, y, z, radius)
+            expected = brute_neighbors(parts, (x, y, z), radius)
+            order = [q.id for q, *_ in got]  # ids equal indices here
+            assert order == [j for j in neighbor_candidates(
+                index, (x, y, z), radius) if j in expected]
+            assert set(order) == expected
+            for q, dx, dy, dz, r2 in got:
+                assert (dx, dy, dz) == (x - q.x, y - q.y, z - q.z)
+                assert r2 == dx * dx + dy * dy + dz * dz

@@ -12,7 +12,7 @@ from hybridsph.render import (Camera, RenderParams, RenderStats, composite_ray,
                               sample_medium, write_ppm)
 from hybridsph.sph import Particle, SimParams, SimulationState
 
-from conftest import brute_density, rel_err
+from conftest import brute_density, lone_particle_positions, rel_err
 
 
 def small_scene(n=60, seed=2, span=0.4):
@@ -69,13 +69,18 @@ class TestSampleMedium:
         assert rho == 0.0
 
     def test_on_top_of_isolated_particle(self):
+        # Also past every face of the world box, where the sample's cube
+        # clamps to the boundary cells.
         params = SimParams()
-        p = Particle(id=0, material=1, x=0.2, y=0.0, z=0.0, mass=0.7)
-        state = SimulationState(particles=[p], params=params)
-        sph.phase1_prepare(state)
-        rho, color = sample_medium(state, (0.2, 0.0, 0.0))
-        assert rel_err(rho, 0.7 * 8.0 / (math.pi * params.h**3)) < 1e-15
-        assert color == render.DEFAULT_PALETTE[1]
+        for pos in [(0.2, 0.0, 0.0)] + lone_particle_positions(params):
+            p = Particle(id=0, material=1, x=pos[0], y=pos[1], z=pos[2],
+                         mass=0.7)
+            state = SimulationState(particles=[p], params=params)
+            sph.phase1_prepare(state)
+            rho, color = sample_medium(state, pos)
+            assert rel_err(rho, 0.7 * 8.0 / (math.pi * params.h**3)) \
+                < 1e-15, pos
+            assert color == render.DEFAULT_PALETTE[1]
 
     def test_density_matches_brute_force(self):
         state = small_scene(n=120, seed=9)
@@ -213,8 +218,32 @@ class TestRenderFrame:
         assert digest == GOLDEN_TWO_PARTICLE_SHA256
 
 
+    def test_every_pixel_is_its_composited_ray(self):
+        state = small_scene(n=80, seed=4)
+        cam = Camera(resolution=(12, 9), fov=1.1)
+        params = RenderParams()
+        img = render_frame(state, cam, params, workers=2)
+        want = bytearray()
+        for py in range(9):
+            for px in range(12):
+                rgb = composite_ray(state, generate_ray(cam, px, py), params)
+                want += bytes(render._quantize(c) for c in rgb)
+        assert img.pixels == want
+        assert any(want)
+
+    def test_golden_frame_digest(self, golden_scene):
+        # The frame of the stepped golden scene; pins the sample order of
+        # the density and color sums along every ray.
+        img = render_frame(golden_scene, Camera(resolution=(40, 30)),
+                           workers=2)
+        digest = hashlib.sha256(img.tobytes()).hexdigest()
+        assert digest == GOLDEN_FRAME_SHA256
+
+
 GOLDEN_TWO_PARTICLE_SHA256 = (
     "da09a9a22b3d42429a53a501ab8c836d45fdba2509e1ea2101f7c7be73cad38c")
+GOLDEN_FRAME_SHA256 = (
+    "5f9f23d31c6a5d6e761bca56ea5c3082df79d461b77e7ce6b1118c1647e75652")
 
 
 class TestPpm:
