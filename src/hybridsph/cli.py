@@ -40,7 +40,7 @@ class RunConfig:
     steps: int = 3
     devices: int = 0
     device_workers: tuple[int, ...] = ()
-    host_workers: int | None = None
+    host_workers: int = 1
     bandwidth: float = float(1 << 30)
     latency: float = 10e-6
     transport: str = "in-process"
@@ -363,7 +363,7 @@ def bench(config: RunConfig, log=print) -> tuple[int, list[dict]]:
             specs = sub.device_specs()
             if config.item_delay > 0:
                 total, stats = run_synthetic(
-                    n, specs, config.host_workers or 1, config.item_delay,
+                    n, specs, config.host_workers, config.item_delay,
                     config.buffer_capacity)
                 frac = sum(v for k, v in stats.items_by_unit.items()
                            if k.startswith("device/")) / max(1, n)

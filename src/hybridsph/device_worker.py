@@ -1,13 +1,18 @@
 """Device-side execution: the master loop and its worker threads.
 
-The master thread owns the endpoint's receive side. It rebuilds the functor
-from FUNCTOR_STATE, spawns the requested number of workers, and from then on
-only moves blocks around: each WORK_BLOCK blob is handed to the workers,
-who pull items off a shared cursor, apply the functor, and append results
-to the block's result buffer. The last worker to finish a block sends it
-home; blocks therefore return whole, possibly out of order, with item order
-inside a block determined by completion, not arrival. The host scatters by
-sequence index either way.
+A device serves one ``hybrid_for_each`` call. The master thread owns the
+endpoint's receive side: it rebuilds the functor from FUNCTOR_STATE (the
+wire name) and the state blob that follows, starts the requested number of
+workers, decodes each WORK_BLOCK whole with ``runtime.decode_block`` and
+puts one ``(block, position)`` task per item on a single queue. The workers
+run the same take-and-apply loop as the host's: whoever applies a block's
+last item encodes the block's results in block order and sends
+RESULT_BLOCK. Blocks therefore return whole, possibly out of order, and
+their bytes do not depend on the order in which items complete.
+
+SHUTDOWN from the host ends the call. An apply or encode that raises, or a
+message the protocol does not allow, is answered with SHUTDOWN carrying the
+reason; the host then counts the device as lost and finishes its items.
 
 Runs identically as a thread (in-process transport) or as the main loop of
 the worker executable (subprocess transport, ``python -m
@@ -17,134 +22,89 @@ hybridsph.device_worker --connect <host:port> --workers <n>``).
 from __future__ import annotations
 
 import argparse
-import queue as queue_mod
+import queue
 import socket
 import sys
 import threading
 
 from . import functors  # noqa: F401  (registers the standard functor codecs)
 from . import transport
-from .runtime import BufferPool, FUNCTOR_HEADER, WORK_BLOCK_MSG, parse_block
+from .runtime import BLOCK_HEADER, WORK_BLOCK_MSG, decode_block
 from .transport import (Endpoint, LinkConfig, Message, MessageKind,
                         TransportError, parse_host_hello)
-from .wire import ByteReader, decode_functor
+from .wire import ByteReader, ByteWriter, decode_functor
 
 
-class _BlockWork:
-    """One inbound block: shared item cursor plus the result accumulator."""
+class _Block:
+    """One work block: its (index, item) pairs, which the workers overwrite
+    with results, and the count of items not yet applied."""
 
-    __slots__ = ("block_id", "count", "reader", "taken", "done",
-                 "result", "result_writer", "result_lock")
+    __slots__ = ("block_id", "items", "pending")
 
-    def __init__(self, blob: bytes, pool: BufferPool):
-        self.block_id, self.count, self.reader = parse_block(blob)
-        self.taken = 0
-        self.done = 0
-        self.result = pool.acquire(len(blob))
-        # Result sizes can differ from input sizes, so the writer is
-        # unbounded; the pooled bytearray still gets reused.
-        self.result_writer = self.result.begin(self.block_id)
-        self.result_writer.capacity = None
-        self.result_lock = threading.Lock()
+    def __init__(self, block_id: int, items: list):
+        self.block_id = block_id
+        self.items = items
+        self.pending = len(items)
 
 
-def _worker_loop(endpoint: Endpoint, functor, blocks: queue_mod.Queue,
-                 source_lock: threading.Lock, shared: dict,
-                 send_lock: threading.Lock, pool: BufferPool) -> None:
-    """Apply items until the no-more-work sentinel arrives.
-
-    Item acquisition deserializes under the source lock (items are not
-    self-delimiting, so the read cursor is shared); the apply itself runs
-    unlocked.
-    """
-    deser = functor.item_codec.deserialize
-    ser = functor.item_codec.serialize
-    while True:
-        with source_lock:
-            block: _BlockWork | None = shared.get("current")
-            while block is None or block.taken >= block.count:
-                if shared.get("stopping"):
-                    return
-                nxt = blocks.get()
-                if nxt is None:
-                    shared["stopping"] = True
-                    return
-                block = nxt
-                shared["current"] = block
-            idx = block.reader.read_u64()
-            value = deser(block.reader)
-            block.taken += 1
-
+def _report_failure(endpoint: Endpoint, lock: threading.Lock,
+                    reason: str) -> None:
+    with lock:
         try:
-            value = functor.apply(value)
+            endpoint.send_message(Message(MessageKind.SHUTDOWN,
+                                          reason.encode("utf-8")))
+        except TransportError:
+            pass  # the host is gone
+
+
+def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
+                 lock: threading.Lock) -> None:
+    """Apply tasks until the ``None`` sentinel. ``lock`` guards the pending
+    counts and keeps each RESULT_BLOCK message next to its blob."""
+    apply = functor.apply
+    ser = functor.item_codec.serialize
+    while (task := tasks.get()) is not None:
+        block, pos = task
+        idx, item = block.items[pos]
+        try:
+            block.items[pos] = (idx, apply(item))
+            with lock:
+                block.pending -= 1
+                if block.pending:
+                    continue
+            out = ByteWriter(bytearray(BLOCK_HEADER.pack(block.block_id,
+                                                         len(block.items))))
+            for idx, value in block.items:
+                out.write_u64(idx)
+                ser(value, out)
         except Exception as exc:
-            # A failed apply strands the whole block; tell the host to treat
-            # this device as lost so the items run elsewhere (where the same
-            # failure, if deterministic, surfaces as the caller's error).
-            shared["stopping"] = True
-            with send_lock:
-                try:
-                    endpoint.send_message(Message(
-                        MessageKind.SHUTDOWN,
-                        f"apply failed on item {idx}: {exc}".encode()))
-                except TransportError:
-                    pass
+            _report_failure(endpoint, lock,
+                            f"item {idx}: {type(exc).__name__}: {exc}")
             return
-
-        with block.result_lock:
-            block.result_writer.write_u64(idx)
-            ser(value, block.result_writer)
-            block.result.item_count += 1
-            block.done += 1
-            last = block.done == block.count
-        if last:
-            block.result.finalize()
-            try:
-                with send_lock:
-                    endpoint.send_message(Message(
-                        MessageKind.RESULT_BLOCK,
-                        WORK_BLOCK_MSG.pack(block.block_id,
-                                            len(block.result.data))))
-                    endpoint.send_blob(block.result.data)
-            except TransportError:
-                shared["stopping"] = True  # the host is gone
-                return
-            finally:
-                pool.release(block.result)
+        try:
+            with lock:
+                endpoint.send_message(Message(
+                    MessageKind.RESULT_BLOCK,
+                    WORK_BLOCK_MSG.pack(block.block_id, len(out.data))))
+                endpoint.send_blob(out.data)
+        except TransportError:
+            return  # the host is gone
 
 
-def run_device_worker_loop(endpoint: Endpoint, worker_count: int,
-                           pool: BufferPool | None = None) -> None:
-    """Master loop: serve one call session, then exit on SHUTDOWN.
-
-    Protocol violations are answered with a SHUTDOWN message carrying an
-    error description before the loop gives up.
-    """
-    pool = pool or BufferPool()
-    blocks: queue_mod.Queue = queue_mod.Queue()
-    source_lock = threading.Lock()
-    send_lock = threading.Lock()
-    shared: dict = {"current": None, "stopping": False}
+def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:
+    """Master loop: serve one call until SHUTDOWN or a closed link."""
+    tasks: queue.SimpleQueue = queue.SimpleQueue()
+    lock = threading.Lock()
     workers: list[threading.Thread] = []
     functor = None
-
     try:
-        while True:
-            try:
-                msg = endpoint.recv_message()
-            except TransportError:
-                break
-            if msg.kind == MessageKind.FUNCTOR_STATE:
-                r = ByteReader(msg.payload)
-                name = r.read_str()
-                inline, nbytes = FUNCTOR_HEADER.unpack(
-                    r.read_bytes(FUNCTOR_HEADER.size))
-                payload = r.read_bytes(nbytes) if inline else endpoint.recv_blob()
-                functor = decode_functor(name, payload)
+        while (msg := endpoint.recv_message()).kind != MessageKind.SHUTDOWN:
+            if msg.kind == MessageKind.FUNCTOR_STATE and functor is None:
+                name = ByteReader(msg.payload).read_str()
+                functor = decode_functor(name, endpoint.recv_blob())
                 workers = [threading.Thread(
                     target=_worker_loop,
-                    args=(endpoint, functor, blocks, source_lock, shared,
-                          send_lock, pool),
+                    args=(endpoint, functor, tasks, lock),
                     name=f"device-worker-{i}", daemon=True)
                     for i in range(worker_count)]
                 for w in workers:
@@ -153,43 +113,28 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int,
                 block_id, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
                 blob = endpoint.recv_blob()
                 if functor is None or len(blob) != nbytes:
-                    raise _Malformed(
+                    raise ValueError(
                         f"work block {block_id}: "
                         + ("no functor installed" if functor is None
                            else f"expected {nbytes} bytes, got {len(blob)}"))
-                try:
-                    blocks.put(_BlockWork(blob, pool))
-                except Exception as exc:
-                    raise _Malformed(f"work block {block_id}: {exc}") from exc
-            elif msg.kind == MessageKind.NO_MORE_WORK:
-                blocks.put(None)
-                for w in workers:
-                    w.join()
-                workers = []
-            elif msg.kind == MessageKind.SHUTDOWN:
-                break
+                block = _Block(*decode_block(blob, functor.item_codec))
+                for pos in range(len(block.items)):
+                    tasks.put((block, pos))
             else:
-                raise _Malformed(f"unexpected message kind {msg.kind!r}")
-    except _Malformed as exc:
-        try:
-            endpoint.send_message(Message(MessageKind.SHUTDOWN,
-                                          str(exc).encode("utf-8")))
-        except TransportError:
-            pass
+                raise ValueError(f"unexpected message kind {msg.kind!r}")
+    except TransportError:
+        pass  # the host is gone
+    except Exception as exc:
+        _report_failure(endpoint, lock, f"{type(exc).__name__}: {exc}")
     finally:
-        shared["stopping"] = True
-        blocks.put(None)
+        for _ in workers:
+            tasks.put(None)
         for w in workers:
             w.join(timeout=10.0)
         endpoint.close()
 
 
-class _Malformed(Exception):
-    """Host sent something the protocol does not allow."""
-
-
 def serve(endpoint: Endpoint, worker_count: int,
-          pool: BufferPool | None = None,
           protocol_version: int = transport.PROTOCOL_VERSION) -> None:
     """HELLO, then the loop. The host's HELLO carries the link parameters
     this side sends with from then on."""
@@ -200,7 +145,7 @@ def serve(endpoint: Endpoint, worker_count: int,
     except TransportError:
         endpoint.close()
         return
-    run_device_worker_loop(endpoint, worker_count, pool)
+    run_device_worker_loop(endpoint, worker_count)
 
 
 def _connect_channel(host: str, port: int, tag: bytes) -> socket.socket:

@@ -288,7 +288,7 @@ class _RowAction:
 
 def render_frame(state: SimulationState, camera: Camera,
                  params: RenderParams | None = None,
-                 workers: int | None = None,
+                 workers: int = 1,
                  stats: RenderStats | None = None) -> Image:
     """Render the snapshot to an 8-bit RGB image.
 

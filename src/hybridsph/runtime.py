@@ -1,13 +1,14 @@
 """Dynamic work distribution across host workers and coprocessor devices.
 
 ``hybrid_for_each`` applies a functor to every item of a sequence. Host
-workers transform items in place with no serialization; each device gets the
-functor (plus shared state) once per call and then a stream of item blocks,
-batched to its worker count and shipped as single bulk transfers, with
-double buffering so the device rarely starves. One controller thread per
-device packs each block, sends it, waits for results and scatters them back
-into the sequence by item index, so completion order never affects the
-outcome.
+workers transform items in place with no serialization; each device serves
+one call: it gets the functor (plus shared state) once and then a stream of
+item blocks, batched to its worker count and shipped as single bulk
+transfers, with double buffering so the device rarely starves. One
+controller thread per device packs each block into its one transfer buffer,
+sends it, waits for the result block and scatters it back into the sequence
+by item index, so completion order never affects the outcome. Both sides
+read a block with ``decode_block``.
 
 Work allocation is a single priority queue: a plain counter hands out fresh
 indices, and a high-priority list serves put-backs (items taken but not
@@ -24,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections import deque
-from typing import Sequence
+from typing import Any, Sequence
 
 from . import transport
 from .transport import (DeviceHandle, LinkConfig, Message, MessageKind,
@@ -34,10 +35,8 @@ from .wire import ByteReader, ByteWriter, Codec, encode_functor
 BLOCK_HEADER = struct.Struct("<QI")      # block_id u64, item_count u32
 ITEM_PREFIX = struct.Struct("<Q")        # sequence_index u64
 WORK_BLOCK_MSG = struct.Struct("<QQ")    # block_id, payload byte count
-FUNCTOR_HEADER = struct.Struct("<BQ")    # inline flag u8, byte count u64
 
 DEFAULT_BUFFER_CAPACITY = 1 << 20
-FUNCTOR_INLINE_MAX = 4096
 
 
 class ItemTooLargeError(Exception):
@@ -132,27 +131,6 @@ class TransferBuffer:
         BLOCK_HEADER.pack_into(self.data, 0, self.block_id, self.item_count)
 
 
-class BufferPool:
-    """Reuses transfer buffers; tracks how many were ever allocated."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._free: list[TransferBuffer] = []
-        self.allocated = 0
-
-    def acquire(self, min_capacity: int) -> TransferBuffer:
-        with self._lock:
-            for i in range(len(self._free) - 1, -1, -1):
-                if self._free[i].capacity >= min_capacity:
-                    return self._free.pop(i)
-            self.allocated += 1
-        return TransferBuffer(min_capacity)
-
-    def release(self, buf: TransferBuffer) -> None:
-        with self._lock:
-            self._free.append(buf)
-
-
 def pack_block(queue: WorkQueue, sequence: Sequence, buffer: TransferBuffer,
                batch: int, item_codec: Codec) -> list[int]:
     """Take up to ``batch`` indices and serialize their items into the buffer.
@@ -194,6 +172,19 @@ def parse_block(blob: bytes | memoryview) -> tuple[int, int, ByteReader]:
     return block_id, count, reader
 
 
+def decode_block(blob: bytes | memoryview,
+                 item_codec: Codec) -> tuple[int, list[tuple[int, Any]]]:
+    """Decode a whole block payload into (block_id, [(index, item), ...]) in
+    block order; a short or overlong payload raises."""
+    block_id, count, reader = parse_block(blob)
+    read_index = reader.read_u64
+    deser = item_codec.deserialize
+    items = [(read_index(), deser(reader)) for _ in range(count)]
+    if reader.remaining:
+        raise ValueError(f"{reader.remaining} bytes past the last item")
+    return block_id, items
+
+
 @dataclass
 class DeviceSpec:
     """How to bring up one device: link parameters and worker count."""
@@ -209,9 +200,7 @@ class DeviceState:
     handle: DeviceHandle
     worker_count: int
     label: str = "device/0"
-    pool: BufferPool = field(default_factory=BufferPool)
     in_flight: dict[int, list[int]] = field(default_factory=dict)
-    lost: bool = False
 
     @property
     def endpoint(self):
@@ -219,12 +208,10 @@ class DeviceState:
 
 
 def connect_device(spec: DeviceSpec, index: int = 0,
-                   trace: TraceRecorder | None = None,
-                   device_pool: BufferPool | None = None) -> DeviceState:
+                   trace: TraceRecorder | None = None) -> DeviceState:
     """Connect one device per its spec; the returned state serves one
     hybrid_for_each call (the controller shuts the device down at the end)."""
-    handle = transport.connect(spec.link, spec.worker_count, trace=trace,
-                               device_pool=device_pool)
+    handle = transport.connect(spec.link, spec.worker_count, trace=trace)
     return DeviceState(handle=handle, worker_count=handle.worker_count,
                        label=f"device/{index}")
 
@@ -240,16 +227,8 @@ class RunStatistics:
     busy_seconds: dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
     devices_lost: list[str] = field(default_factory=list)
+    device_errors: dict[str, str] = field(default_factory=dict)
     unit_of_index: list | None = None
-
-    def csv_rows(self) -> list[tuple]:
-        rows = [("unit", "items", "bytes_tx", "bytes_rx", "busy_seconds")]
-        for unit in sorted(self.items_by_unit):
-            rows.append((unit, self.items_by_unit[unit],
-                         self.bytes_sent.get(unit, 0),
-                         self.bytes_received.get(unit, 0),
-                         round(self.busy_seconds.get(unit, 0.0), 6)))
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +254,6 @@ def shared_pool() -> ThreadPoolExecutor:
             _shared_pool = ThreadPoolExecutor(max_workers=size,
                                               thread_name_prefix="hybrid-pool")
         return _shared_pool
-
-
-def default_host_workers() -> int:
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +286,6 @@ def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int = 1,
 # Device controller
 # ---------------------------------------------------------------------------
 
-def _send_functor(ep, functor_name: str, functor_bytes: bytes) -> None:
-    """FUNCTOR_STATE, with the state inline when small, as a blob otherwise."""
-    inline = len(functor_bytes) <= FUNCTOR_INLINE_MAX
-    w = ByteWriter()
-    w.write_str(functor_name)
-    w.write_bytes(FUNCTOR_HEADER.pack(1 if inline else 0, len(functor_bytes)))
-    if inline:
-        w.write_bytes(functor_bytes)
-    ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(w.data)))
-    if not inline:
-        ep.send_blob(functor_bytes)
-
-
 def _receive_result(device: DeviceState, sequence, item_codec: Codec,
                     unit_of_index: list | None) -> int:
     """Wait for the next result block and scatter it; returns its item count.
@@ -335,7 +297,8 @@ def _receive_result(device: DeviceState, sequence, item_codec: Codec,
     ep = device.endpoint
     msg = ep.recv_message()
     if msg.kind == MessageKind.SHUTDOWN:
-        raise TransportError(f"device reported failure: {msg.payload!r}")
+        raise TransportError("device reported failure: "
+                             + msg.payload.decode("utf-8", "replace"))
     if msg.kind != MessageKind.RESULT_BLOCK:
         raise TransportError(f"unexpected message kind {msg.kind!r}")
     bid, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
@@ -343,14 +306,11 @@ def _receive_result(device: DeviceState, sequence, item_codec: Codec,
     try:
         if len(blob) != nbytes:
             raise ValueError(f"expected {nbytes} bytes, got {len(blob)}")
-        blk_id, count, reader = parse_block(blob)
+        blk_id, results = decode_block(blob, item_codec)
         if blk_id != bid:
             raise ValueError(f"block id {blk_id} does not match "
                              f"announcement {bid}")
-        deser = item_codec.deserialize
-        results = [(reader.read_u64(), deser(reader)) for _ in range(count)]
-        sent = device.in_flight.get(bid)
-        if sent is None or sorted(i for i, _ in results) != sorted(sent):
+        if [i for i, _ in results] != device.in_flight.get(bid):
             raise ValueError("indices differ from those sent")
     except Exception as exc:
         raise TransportError(f"malformed result block {bid}: {exc}") from exc
@@ -360,7 +320,7 @@ def _receive_result(device: DeviceState, sequence, item_codec: Codec,
         for idx, _ in results:
             unit_of_index[idx] = device.label
     del device.in_flight[bid]
-    return count
+    return len(results)
 
 
 def run_device_controller(device: DeviceState, queue: WorkQueue,
@@ -371,24 +331,28 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
                           unit_of_index: list | None = None) -> dict:
     """Drive one device through a full call, all on the calling thread.
 
-    Ships FUNCTOR_STATE first, then loops: while fewer than ``hot_buffers``
-    blocks are un-resulted and the queue has work, pack the next block and
-    send it; then wait for one result and scatter it into the sequence by
-    index. When the queue is exhausted and every sent block has come back,
-    the device gets NO_MORE_WORK and then SHUTDOWN.
+    Ships FUNCTOR_STATE (the wire name) and the functor bytes as a blob,
+    then loops: while fewer than ``hot_buffers`` blocks are un-resulted and
+    the queue has work, pack the next block and send it; then wait for one
+    result and scatter it into the sequence by index. When the queue is
+    exhausted and every sent block has come back, SHUTDOWN ends the call.
 
-    If the device dies mid-call or returns a malformed result, its
-    un-resulted indices go back to the queue at high priority and the
-    fragment reports the loss. Any other error (an item too large for the
-    buffer, a codec failure) propagates.
+    If the device dies mid-call, reports a failure or returns a malformed
+    result, its un-resulted indices go back to the queue at high priority
+    and the fragment carries the reason. Any other error (an item too large
+    for the buffer, a codec failure) propagates.
     """
     ep = device.endpoint
     started = time.perf_counter()
     items_done = 0
     next_block_id = 0
-    buf = device.pool.acquire(buffer_capacity)
+    error = None
+    buf = TransferBuffer(buffer_capacity)
     try:
-        _send_functor(ep, functor_name, functor_bytes)
+        name = ByteWriter()
+        name.write_str(functor_name)
+        ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(name.data)))
+        ep.send_blob(functor_bytes)
         while True:
             while len(device.in_flight) < hot_buffers:
                 buf.begin(next_block_id)
@@ -408,14 +372,12 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
                 break  # queue drained and nothing outstanding
             items_done += _receive_result(device, sequence, item_codec,
                                           unit_of_index)
-        ep.send_message(Message(MessageKind.NO_MORE_WORK))
         ep.send_message(Message(MessageKind.SHUTDOWN))
-    except TransportError:
-        device.lost = True
+    except TransportError as exc:
+        error = f"{type(exc).__name__}: {exc}"
         queue.put_back([i for ids in device.in_flight.values() for i in ids])
         device.in_flight.clear()
     finally:
-        device.pool.release(buf)
         device.handle.close()
 
     return {
@@ -424,7 +386,7 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
         "bytes_tx": ep.bytes_sent,
         "bytes_rx": ep.bytes_received,
         "busy_seconds": time.perf_counter() - started,
-        "lost": device.lost,
+        "error": error,
     }
 
 
@@ -433,7 +395,7 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
 # ---------------------------------------------------------------------------
 
 def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
-                    host_workers: int | None = None, chunk: int = 1,
+                    host_workers: int = 1, chunk: int = 1,
                     buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
                     hot_buffers: int = 2,
                     queue_trace: list | None = None,
@@ -448,8 +410,8 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
 
     ``devices`` are consumed: their controllers end the session with
     SHUTDOWN. A device lost mid-call only costs time; its pending items are
-    re-queued at high priority and the call completes on the remaining
-    units.
+    re-queued at high priority, the call completes on the remaining units,
+    and ``RunStatistics.device_errors`` keeps why the device was lost.
     """
     n = len(sequence)
     stats = RunStatistics(total_items=n)
@@ -487,7 +449,6 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
     for t in controllers:
         t.start()
 
-    k = default_host_workers() if host_workers is None else host_workers
     executor = shared_pool()
     worker_results = []
     worker_errors: list[BaseException] = []
@@ -507,8 +468,9 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
 
     # The calling thread is host worker 0, so the call always makes progress
     # even when the shared pool is saturated by a concurrent call.
-    futures = [executor.submit(worker_task, f"host/{i}") for i in range(1, k)]
-    if k >= 1:
+    futures = [executor.submit(worker_task, f"host/{i}")
+               for i in range(1, host_workers)]
+    if host_workers >= 1:
         worker_results.append(worker_task("host/0"))
     worker_results.extend(f.result() for f in futures)
     for t in controllers:
@@ -533,8 +495,9 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
         stats.bytes_sent[frag["unit"]] = frag["bytes_tx"]
         stats.bytes_received[frag["unit"]] = frag["bytes_rx"]
         stats.busy_seconds[frag["unit"]] = frag["busy_seconds"]
-        if frag["lost"]:
+        if frag["error"] is not None:
             stats.devices_lost.append(frag["unit"])
+            stats.device_errors[frag["unit"]] = frag["error"]
     stats.wall_seconds = time.perf_counter() - started
     stats.unit_of_index = unit_of_index
     return stats

@@ -437,11 +437,6 @@ class SimStateCodec:
 SIM_STATE_CODEC = SimStateCodec()
 
 
-def gravity_field_wire_size(grid: GridSpec) -> int:
-    """Wire bytes of a gravity field: 3 u64 dims + 3 f64 per cell."""
-    return 24 + 24 * grid.cell_count
-
-
 # ---------------------------------------------------------------------------
 # Scene construction and stepping
 # ---------------------------------------------------------------------------
@@ -490,7 +485,7 @@ class StepTiming:
 
 
 def simulation_step(state: SimulationState, device_specs: Sequence = (),
-                    host_workers: int | None = None,
+                    host_workers: int = 1,
                     buffer_capacity: int = 1 << 20) -> StepTiming:
     """Advance the state by one step.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _MESSAGE_HEADER = struct.Struct("<IQ")   # kind u32, payload_length u64
 _FRAME = struct.Struct("<dQ")            # socket framing: deadline f64, length u64
@@ -66,7 +66,6 @@ class MessageKind(IntEnum):
     FUNCTOR_STATE = 1
     WORK_BLOCK = 2
     RESULT_BLOCK = 3
-    NO_MORE_WORK = 4
     SHUTDOWN = 5
 
 
@@ -352,12 +351,10 @@ class DeviceHandle:
     def __init__(self, endpoint: Endpoint, worker_count: int,
                  config: LinkConfig,
                  master_thread: threading.Thread | None = None,
-                 process: subprocess.Popen | None = None,
-                 device_pool=None):
+                 process: subprocess.Popen | None = None):
         self.endpoint = endpoint
         self.worker_count = worker_count
         self.config = config
-        self.device_pool = device_pool
         self._master_thread = master_thread
         self._process = process
 
@@ -437,7 +434,6 @@ def _accept_channels(listener: socket.socket, proc: subprocess.Popen,
 
 def connect(config: LinkConfig, worker_count: int, *,
             trace: TraceRecorder | None = None,
-            device_pool=None,
             worker_command: list[str] | None = None,
             handshake_timeout: float = 60.0,
             _device_version: int | None = None) -> DeviceHandle:
@@ -459,8 +455,7 @@ def connect(config: LinkConfig, worker_count: int, *,
         master = threading.Thread(
             target=device_worker.serve,
             args=(dev_ep, worker_count),
-            kwargs={"pool": device_pool,
-                    "protocol_version": _device_version or PROTOCOL_VERSION},
+            kwargs={"protocol_version": _device_version or PROTOCOL_VERSION},
             name="device-master", daemon=True)
         master.start()
         try:
@@ -469,8 +464,7 @@ def connect(config: LinkConfig, worker_count: int, *,
             host_ep.close()
             master.join(5.0)
             raise
-        return DeviceHandle(host_ep, workers, config, master_thread=master,
-                            device_pool=device_pool)
+        return DeviceHandle(host_ep, workers, config, master_thread=master)
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

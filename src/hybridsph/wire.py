@@ -70,9 +70,6 @@ class ByteWriter:
         self.data += b
         return len(b)
 
-    def write_u8(self, v: int) -> int:
-        return self.write_bytes(_U8.pack(v))
-
     def write_u32(self, v: int) -> int:
         return self.write_bytes(_U32.pack(v))
 

@@ -3,10 +3,12 @@
 import hashlib
 import math
 import random
+import struct
 
 import pytest
 
 from hybridsph import render, sph
+from hybridsph.grid import build_index
 from hybridsph.render import (Camera, RenderParams, RenderStats, composite_ray,
                               frame_filename, generate_ray, render_frame,
                               sample_medium, write_ppm)
@@ -239,11 +241,29 @@ class TestRenderFrame:
         digest = hashlib.sha256(img.tobytes()).hexdigest()
         assert digest == GOLDEN_FRAME_SHA256
 
+    def test_golden_ray_digest(self, golden_scene):
+        # The unquantized colors of a 10x8 grid of rays over the stepped
+        # golden scene. 8-bit pixels can hide a last-bit change in the
+        # order of the neighbour sums along a ray; these bits cannot.
+        state = SimulationState(particles=golden_scene.particles,
+                                params=golden_scene.params)
+        state.index = build_index(state.particles, state.params.index_grid())
+        cam = Camera(resolution=(10, 8))
+        params = RenderParams()
+        digest = hashlib.sha256()
+        for py in range(8):
+            for px in range(10):
+                rgb = composite_ray(state, generate_ray(cam, px, py), params)
+                digest.update(struct.pack("<3d", *rgb))
+        assert digest.hexdigest() == GOLDEN_RAYS_SHA256
+
 
 GOLDEN_TWO_PARTICLE_SHA256 = (
     "da09a9a22b3d42429a53a501ab8c836d45fdba2509e1ea2101f7c7be73cad38c")
 GOLDEN_FRAME_SHA256 = (
     "5f9f23d31c6a5d6e761bca56ea5c3082df79d461b77e7ce6b1118c1647e75652")
+GOLDEN_RAYS_SHA256 = (
+    "2ce35a5669c21d9f8f63d44820647baf1ee4b0e835cf732605450aca92519491")
 
 
 class TestPpm:

@@ -1,20 +1,22 @@
-"""Hybrid runtime: packing, pools, controllers, and the for-each contract."""
+"""Hybrid runtime: packing, controllers, and the for-each contract."""
 
+import re
+import sys
 import threading
 
 import pytest
 
 from hybridsph import device_worker, runtime
 from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
-from hybridsph.runtime import (BufferPool, DeviceSpec, DeviceState,
-                               ItemTooLargeError, TransferBuffer, WorkQueue,
-                               connect_device, hybrid_for_each, pack_block,
+from hybridsph.runtime import (DeviceSpec, DeviceState, ItemTooLargeError,
+                               TransferBuffer, WorkQueue, connect_device,
+                               decode_block, hybrid_for_each, pack_block,
                                parse_block)
 from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
                                  MessageKind, PeerClosedError, TraceRecorder,
                                  create_endpoint_pair, decode_message)
 from hybridsph.wire import (ByteReader, ByteWriter, I32_CODEC, I64_CODEC,
-                            register_functor)
+                            TruncatedInputError, register_functor)
 
 
 class PoisonAction:
@@ -110,24 +112,14 @@ class TestPackBlock:
             idx = reader.read_u64()
             items.append((idx, I32_CODEC.deserialize(reader)))
         assert items == [(0, 7), (1, 8), (2, 9)]
-
-
-class TestBufferPool:
-    def test_release_then_acquire_reuses_same_buffer(self):
-        pool = BufferPool()
-        buf = pool.acquire(1024)
-        pool.release(buf)
-        again = pool.acquire(1024)
-        assert again is buf
-        assert pool.allocated == 1
-
-    def test_smaller_pooled_buffers_force_fresh_allocation(self):
-        pool = BufferPool()
-        small = pool.acquire(64)
-        pool.release(small)
-        big = pool.acquire(4096)
-        assert big is not small
-        assert pool.allocated == 2
+        # decode_block reads the same block whole and rejects a short or
+        # overlong payload.
+        blob = bytes(buf.data)
+        assert decode_block(blob, I32_CODEC) == (42, items)
+        with pytest.raises(TruncatedInputError):
+            decode_block(blob[:-1], I32_CODEC)
+        with pytest.raises(ValueError, match="past the last item"):
+            decode_block(blob + b"\0", I32_CODEC)
 
 
 class TestHybridForEach:
@@ -146,7 +138,7 @@ class TestHybridForEach:
         assert stats.total_items == 0
         kinds = set(trace.message_kinds("send_msg"))
         assert kinds <= {MessageKind.HELLO, MessageKind.FUNCTOR_STATE,
-                         MessageKind.NO_MORE_WORK, MessageKind.SHUTDOWN}
+                         MessageKind.SHUTDOWN}
 
     def test_matches_sequential_oracle_with_random_delays(self):
         items = list(range(1000))
@@ -157,6 +149,9 @@ class TestHybridForEach:
                                 host_workers=2)
         assert seq == expected
         assert sum(stats.items_by_unit.values()) == 1000
+        # Items finish out of order on the device's workers, but each result
+        # block must still come back in block order, or the host rejects it.
+        assert not stats.devices_lost, stats.device_errors
 
     def test_conservation_across_units(self):
         items = list(range(300))
@@ -188,16 +183,30 @@ class TestHybridForEach:
                         hot_buffers=3)
         assert max_unresulted_blocks(trace) <= 3
 
-    def test_buffer_pools_stay_bounded_over_many_blocks(self):
-        device_pool = BufferPool()
-        dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0,
-                             device_pool=device_pool)
-        items = list(range(200))  # 100 blocks of 2
-        hybrid_for_each(items, SleepAction(0.0002), [dev], host_workers=0)
-        host_pool_alloc = dev.pool.allocated
-        assert host_pool_alloc == 1
-        assert device_pool.allocated <= 2
-        assert host_pool_alloc + device_pool.allocated <= 4
+    def test_device_workers_send_each_block_once(self):
+        # More device workers than cores and a tiny switch interval: a lost
+        # update to a block's pending count would send the block twice (the
+        # host then drops the device) or never (the call hangs).
+        dev = connect_device(DeviceSpec(worker_count=8,
+                                        link=LinkConfig(latency=0.0)), 0)
+        items = list(range(4000))
+        done = {}
+
+        def call():
+            done["stats"] = hybrid_for_each(items, AffineAction(3), [dev],
+                                            host_workers=0)
+
+        caller = threading.Thread(target=call, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "hybrid_for_each hung"
+        assert items == [3 * v + 2 for v in range(4000)]
+        assert not done["stats"].devices_lost, done["stats"].device_errors
 
     def test_put_back_on_tiny_buffer_still_exact(self):
         # capacity fits exactly one framed i64 item; batch of 8 forces
@@ -304,7 +313,8 @@ def _scripted_peer(ep, mode: str) -> None:
     returns block 0 cut short by four bytes and waits for the host to close.
     """
     try:
-        ep.recv_message()  # FUNCTOR_STATE, inline for SleepAction
+        ep.recv_message()  # FUNCTOR_STATE: the wire name ...
+        ep.recv_blob()     # ... then the functor state
         bid, _ = runtime.WORK_BLOCK_MSG.unpack(ep.recv_message().payload)
         _, count, reader = parse_block(ep.recv_blob())
         result = TransferBuffer(1 << 16)
@@ -334,7 +344,10 @@ class TestDeviceLoss:
         # A lost or malformed device must leave every item applied exactly
         # once: stranded indices go back to the queue, and a bad result
         # block writes nothing before it is rejected. The close race is
-        # timing-dependent, so it is tried many times.
+        # timing-dependent, so it is tried many times. The loss keeps its
+        # reason.
+        reason = {"close": "PeerClosedError: peer closed the link",
+                  "truncated": "malformed result block 0"}[mode]
         for trial in range(60):
             cfg = LinkConfig()
             host_ep, dev_ep = create_endpoint_pair(cfg)
@@ -350,6 +363,31 @@ class TestDeviceLoss:
             assert not peer.is_alive()
             assert items == [v + 1 for v in range(8)], f"trial {trial}"
             assert stats.devices_lost == ["device/0"]
+            assert reason in stats.device_errors["device/0"]
+
+    @pytest.mark.parametrize("kind", ["in-process", "subprocess"])
+    def test_unencodable_result_fails_over_instead_of_hanging(self, kind):
+        # 4 * 2**30 + 2 does not fit the i32 item codec, so every device
+        # worker fails to encode its block. The device must report it and
+        # the host must finish the items itself, not wait forever.
+        dev = connect_device(DeviceSpec(worker_count=2,
+                                        link=LinkConfig(kind=kind)), 0)
+        items = [2**30] * 8
+        done = {}
+
+        def call():
+            done["stats"] = hybrid_for_each(items, AffineAction(4), [dev],
+                                            host_workers=0)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=20.0)
+        assert not caller.is_alive(), "hybrid_for_each hung"
+        stats = done["stats"]
+        assert items == [4 * 2**30 + 2] * 8
+        assert stats.devices_lost == ["device/0"]
+        reason = stats.device_errors["device/0"]
+        assert re.search(r"item [0-7]: error: ", reason), reason
 
     def test_killed_subprocess_device_recovers(self):
         dev = connect_device(
@@ -410,14 +448,6 @@ class TestHygiene:
 
 
 class TestRunStatistics:
-    def test_csv_rows_shape(self):
-        items = list(range(10))
-        stats = hybrid_for_each(items, AffineAction(2), host_workers=2)
-        rows = stats.csv_rows()
-        assert rows[0] == ("unit", "items", "bytes_tx", "bytes_rx",
-                           "busy_seconds")
-        assert sum(r[1] for r in rows[1:]) == 10
-
     def test_device_bytes_accounted(self):
         dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0)
         items = list(range(50))

@@ -234,4 +234,4 @@ class TestTransportEquivalence:
         kinds = a.message_kinds("send_msg")
         assert kinds[0] == MessageKind.HELLO
         assert kinds[1] == MessageKind.FUNCTOR_STATE
-        assert kinds[-2:] == [MessageKind.NO_MORE_WORK, MessageKind.SHUTDOWN]
+        assert kinds[-2:] == [MessageKind.WORK_BLOCK, MessageKind.SHUTDOWN]

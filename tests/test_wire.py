@@ -193,13 +193,6 @@ def test_functor_with_one_i32_costs_four_bytes():
     assert decode_functor(f.wire_name, payload).scale == 3
 
 
-def test_gravity_field_wire_size_tally():
-    # 3 u64 dims + cells * 3 f64, dims (4, 4, 4): 24 + 64 * 24 = 1560.
-    from hybridsph.grid import GridSpec
-    grid = GridSpec(origin=(0.0, 0.0, 0.0), cell_size=1.0, dims=(4, 4, 4))
-    assert sph.gravity_field_wire_size(grid) == 24 + 64 * 24 == 1560
-
-
 def test_state_codec_size_matches_emitted_bytes():
     state = sph.make_scene(37, sph.SimParams(gravity_dims=(4, 4, 4)), seed=3)
     sph.phase1_prepare(state)
