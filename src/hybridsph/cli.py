@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import functors, render, sph
-from .runtime import DeviceSpec, hybrid_for_each
+from .runtime import DeviceSpec, connect_device, hybrid_for_each
 from .transport import LinkConfig
 
 SWEEP_LADDER = (1000, 8000, 27000, 64000, 125000, 216000, 343000,
@@ -28,7 +28,7 @@ CONFIG_KEYS = {
     "particles": int, "steps": int, "devices": int, "device_workers": str,
     "host_workers": int, "bandwidth": float, "latency": float,
     "transport": str, "pipeline": int, "resolution": str, "seed": int,
-    "out": str, "buffer_capacity": int, "item_delay": float,
+    "out": str, "item_delay": float,
     "h": float, "dt": float, "k_eos": float, "G": float, "epsilon": float,
     "world_box": str, "gravity_dims": str, "radius": float,
 }
@@ -48,7 +48,6 @@ class RunConfig:
     resolution: tuple[int, int] = (100, 100)
     seed: int = 1234
     out: Path = Path("out")
-    buffer_capacity: int = 1 << 20
     bench: bool = False
     sweep: tuple[int, ...] = ()
     item_delay: float = 0.0
@@ -64,25 +63,28 @@ class RunConfig:
         if len(workers) != self.devices:
             raise ValueError(
                 f"{self.devices} devices but {len(workers)} worker counts")
+        if any(w < 1 for w in workers):
+            raise ValueError("device worker counts must be >= 1")
         return [DeviceSpec(worker_count=w, link=link) for w in workers]
 
 
 @dataclass
 class TimingReport:
-    """Per-step phase timings plus run-level accounting."""
+    """Per-step phase timings plus run-level accounting. The item counts
+    add up the steps' ``StepTiming`` counts, so the run's coprocessor
+    fraction has each step's definition."""
 
     rows: list[dict] = field(default_factory=list)
     items_by_unit: dict[str, int] = field(default_factory=dict)
+    items_total: int = 0
+    items_on_devices: int = 0
     total_seconds: float = 0.0
 
     @property
     def coproc_fraction(self) -> float:
-        total = sum(self.items_by_unit.values())
-        if total == 0:
+        if self.items_total == 0:
             return 0.0
-        on_dev = sum(v for k, v in self.items_by_unit.items()
-                     if k.startswith("device/"))
-        return on_dev / total
+        return self.items_on_devices / self.items_total
 
     def write_csv(self, path) -> None:
         cols = ("step", "phase1_s", "phase2_s", "phase3_s", "phase4_s",
@@ -147,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", default=None, metavar="WxH")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, metavar="DIR")
-    p.add_argument("--buffer-capacity", type=int, default=None,
-                   metavar="BYTES")
     p.add_argument("--bench", action="store_true", default=False,
                    help="sweep particle counts x device counts, write CSV")
     p.add_argument("--sweep", default=None, metavar="N[,N...]",
@@ -175,18 +175,10 @@ def parse_config(argv: list[str]) -> RunConfig:
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    for key in ("particles", "steps", "devices", "host_workers", "bandwidth",
-                "latency", "transport", "seed", "buffer_capacity",
-                "item_delay", "out", "resolution"):
-        v = getattr(args, key)
+    for key in (*CONFIG_KEYS, "sweep"):
+        v = getattr(args, key, None)
         if v is not None:
             merged[key] = v
-    if args.device_workers is not None:
-        merged["device_workers"] = args.device_workers
-    if args.pipeline is not None:
-        merged["pipeline"] = args.pipeline
-    if args.sweep is not None:
-        merged["sweep"] = args.sweep
 
     cfg = RunConfig()
     try:
@@ -219,8 +211,13 @@ def parse_config(argv: list[str]) -> RunConfig:
         if scene:
             cfg.params = replace(cfg.params, **scene)
         cfg.bench = args.bench
-        if cfg.particles < 0 or cfg.steps < 0 or cfg.devices < 0:
+        if (cfg.particles < 0 or cfg.steps < 0 or cfg.devices < 0
+                or cfg.host_workers < 0):
             raise ValueError("counts must be >= 0")
+        if cfg.item_delay < 0:
+            raise ValueError("item delay must be >= 0")
+        if min(cfg.resolution) < 1:
+            raise ValueError("resolution must be at least 1x1")
         if cfg.pipeline and cfg.steps < 1:
             raise ValueError("--pipeline needs at least one step")
         cfg.device_specs()  # validates worker list against device count
@@ -265,9 +262,8 @@ def run(config: RunConfig, log=print) -> tuple[int, TimingReport]:
     started = time.perf_counter()
     pending: threading.Thread | None = None
     for step in range(config.steps):
-        timing = sph.simulation_step(
-            state, specs, host_workers=config.host_workers,
-            buffer_capacity=config.buffer_capacity)
+        timing = sph.simulation_step(state, specs,
+                                     host_workers=config.host_workers)
         row = {
             "step": step,
             "phase1_s": round(timing.phase1_s, 6),
@@ -278,6 +274,8 @@ def run(config: RunConfig, log=print) -> tuple[int, TimingReport]:
             "coproc_fraction": round(timing.coproc_fraction, 6),
         }
         report.rows.append(row)
+        report.items_total += timing.items_total
+        report.items_on_devices += timing.items_on_devices
         for stats in timing.stats:
             for unit, count in stats.items_by_unit.items():
                 report.items_by_unit[unit] = (
@@ -318,22 +316,18 @@ def _write_unit_csv(path, items_by_unit: dict) -> None:
 
 
 def run_synthetic(n_items: int, device_specs, host_workers: int,
-                  delay_s: float, buffer_capacity: int = 1 << 20):
+                  delay_s: float):
     """One pass of the synthetic-delay workload; returns (seconds, stats).
 
     Exercises the queue, block batching and transfers with a fixed per-item
     cost so scheduler behavior can be measured independently of SPH. Device
     bring-up happens inside the measured window, the same way simulation
     phases pay for their per-call connections."""
-    from .runtime import connect_device
-
     items = list(range(n_items))
     functor = functors.SleepAction(delay_s)
     t0 = time.perf_counter()
     devices = [connect_device(spec, i) for i, spec in enumerate(device_specs)]
-    stats = hybrid_for_each(items, functor, devices,
-                            host_workers=host_workers,
-                            buffer_capacity=buffer_capacity)
+    stats = hybrid_for_each(items, functor, devices, host_workers=host_workers)
     elapsed = time.perf_counter() - t0
     if items != [v + 1 for v in range(n_items)]:
         raise RuntimeError("synthetic workload produced wrong results")
@@ -363,10 +357,8 @@ def bench(config: RunConfig, log=print) -> tuple[int, list[dict]]:
             specs = sub.device_specs()
             if config.item_delay > 0:
                 total, stats = run_synthetic(
-                    n, specs, config.host_workers, config.item_delay,
-                    config.buffer_capacity)
-                frac = sum(v for k, v in stats.items_by_unit.items()
-                           if k.startswith("device/")) / max(1, n)
+                    n, specs, config.host_workers, config.item_delay)
+                frac = stats.device_items / max(1, n)
             else:
                 status, report = run(sub, log=lambda *a, **k: None)
                 if status != 0:

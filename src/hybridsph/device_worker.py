@@ -6,13 +6,15 @@ wire name) and the state blob that follows, starts the requested number of
 workers, decodes each WORK_BLOCK whole with ``runtime.decode_block`` and
 puts one ``(block, position)`` task per item on a single queue. The workers
 run the same take-and-apply loop as the host's: whoever applies a block's
-last item encodes the block's results in block order and sends
-RESULT_BLOCK. Blocks therefore return whole, possibly out of order, and
-their bytes do not depend on the order in which items complete.
+last item encodes the block's results in block order with
+``runtime.encode_block`` and sends RESULT_BLOCK. Blocks therefore return
+whole, possibly out of order, and their bytes do not depend on the order in
+which items complete.
 
-SHUTDOWN from the host ends the call. An apply or encode that raises, or a
-message the protocol does not allow, is answered with SHUTDOWN carrying the
-reason; the host then counts the device as lost and finishes its items.
+SHUTDOWN from the host ends the call. An apply or a result encode that
+raises, or a message the protocol does not allow, is answered with SHUTDOWN
+carrying the reason; the host then counts the device as lost and finishes
+its items.
 
 Runs identically as a thread (in-process transport) or as the main loop of
 the worker executable (subprocess transport, ``python -m
@@ -29,10 +31,10 @@ import threading
 
 from . import functors  # noqa: F401  (registers the standard functor codecs)
 from . import transport
-from .runtime import BLOCK_HEADER, WORK_BLOCK_MSG, decode_block
+from .runtime import WORK_BLOCK_MSG, decode_block, encode_block
 from .transport import (Endpoint, LinkConfig, Message, MessageKind,
                         TransportError, parse_host_hello)
-from .wire import ByteReader, ByteWriter, decode_functor
+from .wire import ByteReader, decode_functor
 
 
 class _Block:
@@ -62,33 +64,33 @@ def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
     """Apply tasks until the ``None`` sentinel. ``lock`` guards the pending
     counts and keeps each RESULT_BLOCK message next to its blob."""
     apply = functor.apply
-    ser = functor.item_codec.serialize
+    item_codec = functor.item_codec
     while (task := tasks.get()) is not None:
         block, pos = task
         idx, item = block.items[pos]
         try:
             block.items[pos] = (idx, apply(item))
-            with lock:
-                block.pending -= 1
-                if block.pending:
-                    continue
-            out = ByteWriter(bytearray(BLOCK_HEADER.pack(block.block_id,
-                                                         len(block.items))))
-            for idx, value in block.items:
-                out.write_u64(idx)
-                ser(value, out)
         except Exception as exc:
             _report_failure(endpoint, lock,
                             f"item {idx}: {type(exc).__name__}: {exc}")
             return
+        with lock:
+            block.pending -= 1
+            if block.pending:
+                continue
         try:
+            out = encode_block(block.block_id, block.items, item_codec)
             with lock:
                 endpoint.send_message(Message(
                     MessageKind.RESULT_BLOCK,
-                    WORK_BLOCK_MSG.pack(block.block_id, len(out.data))))
-                endpoint.send_blob(out.data)
+                    WORK_BLOCK_MSG.pack(block.block_id, len(out))))
+                endpoint.send_blob(out)
         except TransportError:
             return  # the host is gone
+        except Exception as exc:
+            _report_failure(endpoint, lock, f"result block {block.block_id}: "
+                                            f"{type(exc).__name__}: {exc}")
+            return
 
 
 def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:

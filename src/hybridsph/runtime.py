@@ -5,15 +5,17 @@ workers transform items in place with no serialization; each device serves
 one call: it gets the functor (plus shared state) once and then a stream of
 item blocks, batched to its worker count and shipped as single bulk
 transfers, with double buffering so the device rarely starves. One
-controller thread per device packs each block into its one transfer buffer,
-sends it, waits for the result block and scatters it back into the sequence
-by item index, so completion order never affects the outcome. Both sides
-read a block with ``decode_block``.
+controller thread per device packs each block, sends it, waits for the
+result block and scatters it back into the sequence by item index, so
+completion order never affects the outcome.
+
+This module alone knows the block format: ``encode_block`` writes a block
+payload (host work blocks and device result blocks alike) and
+``decode_block`` reads one on either side.
 
 Work allocation is a single priority queue: a plain counter hands out fresh
-indices, and a high-priority list serves put-backs (items taken but not
-shipped, e.g. when a block buffer fills, or items stranded on a lost
-device) before any counter index.
+indices, and a high-priority list serves put-backs (the un-resulted items
+of a lost device) before any counter index.
 """
 
 from __future__ import annotations
@@ -33,14 +35,11 @@ from .transport import (DeviceHandle, LinkConfig, Message, MessageKind,
 from .wire import ByteReader, ByteWriter, Codec, encode_functor
 
 BLOCK_HEADER = struct.Struct("<QI")      # block_id u64, item_count u32
-ITEM_PREFIX = struct.Struct("<Q")        # sequence_index u64
 WORK_BLOCK_MSG = struct.Struct("<QQ")    # block_id, payload byte count
 
-DEFAULT_BUFFER_CAPACITY = 1 << 20
-
-
-class ItemTooLargeError(Exception):
-    """A single serialized item exceeds the transfer buffer capacity."""
+# Un-resulted blocks a controller keeps in flight per device: one being
+# worked on while the next is already on its way (double buffering).
+HOT_BUFFERS = 2
 
 
 class WorkQueue:
@@ -89,11 +88,6 @@ class WorkQueue:
             if self._trace is not None:
                 self._trace.append(("put_back", tuple(indices), ()))
 
-    def empty_hint(self) -> bool:
-        """Snapshot emptiness check (racy by nature; confirm with take)."""
-        with self._lock:
-            return not self._high and self._next >= self._end
-
     def abort(self) -> None:
         with self._lock:
             self._aborted = True
@@ -103,65 +97,33 @@ class WorkQueue:
         return self._aborted
 
 
-class TransferBuffer:
-    """Reusable byte buffer holding one block of framed items."""
-
-    __slots__ = ("data", "capacity", "block_id", "item_count")
-
-    def __init__(self, capacity: int):
-        self.data = bytearray()
-        self.capacity = capacity
-        self.block_id = 0
-        self.item_count = 0
-
-    @property
-    def used(self) -> int:
-        return len(self.data)
-
-    def begin(self, block_id: int) -> ByteWriter:
-        """Reset and open the buffer for packing one block."""
-        del self.data[:]
-        self.block_id = block_id
-        self.item_count = 0
-        writer = ByteWriter(self.data, capacity=self.capacity)
-        writer.write_bytes(BLOCK_HEADER.pack(block_id, 0))
-        return writer
-
-    def finalize(self) -> None:
-        BLOCK_HEADER.pack_into(self.data, 0, self.block_id, self.item_count)
+def encode_block(block_id: int, pairs: Sequence[tuple[int, Any]],
+                 item_codec: Codec) -> bytearray:
+    """Encode ``(index, item)`` pairs, in order, as one block payload: the
+    header, then per item its u64 sequence index and its codec bytes.
+    ``decode_block`` reads it back."""
+    writer = ByteWriter(bytearray(BLOCK_HEADER.pack(block_id, len(pairs))))
+    write_index = writer.write_u64
+    serialize = item_codec.serialize
+    for idx, item in pairs:
+        write_index(idx)
+        serialize(item, writer)
+    return writer.data
 
 
-def pack_block(queue: WorkQueue, sequence: Sequence, buffer: TransferBuffer,
-               batch: int, item_codec: Codec) -> list[int]:
-    """Take up to ``batch`` indices and serialize their items into the buffer.
+def pack_block(queue: WorkQueue, sequence: Sequence, block: bytearray,
+               block_id: int, batch: int, item_codec: Codec) -> list[int]:
+    """Take up to ``batch`` indices and encode their items into ``block``
+    (replacing its contents) as block ``block_id``.
 
-    Serialized sizes are only known per item, so the take can overshoot the
-    buffer: excess indices go back to the queue at high priority. Returns
-    the indices actually packed, in order. The buffer must have been opened
-    with ``begin`` (block id already assigned).
+    Returns the indices taken, in block order; an empty list, with
+    ``block`` untouched, means no work remains.
     """
     indices = queue.take(batch)
-    if not indices:
-        return []
-    writer = ByteWriter(buffer.data, capacity=buffer.capacity)
-    packed: list[int] = []
-    for pos, idx in enumerate(indices):
-        item = sequence[idx]
-        need = ITEM_PREFIX.size + item_codec.size(item)
-        if buffer.used + need > buffer.capacity:
-            if not packed:
-                queue.put_back(indices[pos + 1:])
-                raise ItemTooLargeError(
-                    f"item {idx} needs {need} bytes, buffer capacity is "
-                    f"{buffer.capacity}")
-            queue.put_back(indices[pos:])
-            break
-        writer.write_u64(idx)
-        item_codec.serialize(item, writer)
-        buffer.item_count += 1
-        packed.append(idx)
-    buffer.finalize()
-    return packed
+    if indices:
+        block[:] = encode_block(block_id, [(i, sequence[i]) for i in indices],
+                                item_codec)
+    return indices
 
 
 def parse_block(blob: bytes | memoryview) -> tuple[int, int, ByteReader]:
@@ -228,7 +190,12 @@ class RunStatistics:
     wall_seconds: float = 0.0
     devices_lost: list[str] = field(default_factory=list)
     device_errors: dict[str, str] = field(default_factory=dict)
-    unit_of_index: list | None = None
+
+    @property
+    def device_items(self) -> int:
+        """Items applied on devices (units labelled ``device/<i>``)."""
+        return sum(count for unit, count in self.items_by_unit.items()
+                   if unit.startswith("device/"))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +227,7 @@ def shared_pool() -> ThreadPoolExecutor:
 # Host worker
 # ---------------------------------------------------------------------------
 
-def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int = 1,
-                    unit_of_index: list | None = None,
-                    unit: str = "host/0") -> int:
+def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int) -> int:
     """Take-and-apply loop; items transform in place, no serialization.
 
     Terminates on the first empty take. Returns the item count processed.
@@ -276,8 +241,6 @@ def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int = 1,
             break
         for i in indices:
             sequence[i] = apply(sequence[i])
-            if unit_of_index is not None:
-                unit_of_index[i] = unit
         done += len(indices)
     return done
 
@@ -286,8 +249,7 @@ def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int = 1,
 # Device controller
 # ---------------------------------------------------------------------------
 
-def _receive_result(device: DeviceState, sequence, item_codec: Codec,
-                    unit_of_index: list | None) -> int:
+def _receive_result(device: DeviceState, sequence, item_codec: Codec) -> int:
     """Wait for the next result block and scatter it; returns its item count.
 
     The whole block is decoded and checked against the indices sent before
@@ -316,47 +278,40 @@ def _receive_result(device: DeviceState, sequence, item_codec: Codec,
         raise TransportError(f"malformed result block {bid}: {exc}") from exc
     for idx, value in results:
         sequence[idx] = value
-    if unit_of_index is not None:
-        for idx, _ in results:
-            unit_of_index[idx] = device.label
     del device.in_flight[bid]
     return len(results)
 
 
 def run_device_controller(device: DeviceState, queue: WorkQueue,
                           sequence, functor_name: str, functor_bytes: bytes,
-                          item_codec: Codec, *,
-                          hot_buffers: int = 2,
-                          buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
-                          unit_of_index: list | None = None) -> dict:
+                          item_codec: Codec) -> dict:
     """Drive one device through a full call, all on the calling thread.
 
     Ships FUNCTOR_STATE (the wire name) and the functor bytes as a blob,
-    then loops: while fewer than ``hot_buffers`` blocks are un-resulted and
+    then loops: while fewer than ``HOT_BUFFERS`` blocks are un-resulted and
     the queue has work, pack the next block and send it; then wait for one
     result and scatter it into the sequence by index. When the queue is
     exhausted and every sent block has come back, SHUTDOWN ends the call.
 
     If the device dies mid-call, reports a failure or returns a malformed
     result, its un-resulted indices go back to the queue at high priority
-    and the fragment carries the reason. Any other error (an item too large
-    for the buffer, a codec failure) propagates.
+    and the fragment carries the reason. Any other error (such as an item
+    its codec cannot encode) propagates.
     """
     ep = device.endpoint
     started = time.perf_counter()
     items_done = 0
     next_block_id = 0
     error = None
-    buf = TransferBuffer(buffer_capacity)
+    block = bytearray()
     try:
         name = ByteWriter()
         name.write_str(functor_name)
         ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(name.data)))
         ep.send_blob(functor_bytes)
         while True:
-            while len(device.in_flight) < hot_buffers:
-                buf.begin(next_block_id)
-                packed = pack_block(queue, sequence, buf,
+            while len(device.in_flight) < HOT_BUFFERS:
+                packed = pack_block(queue, sequence, block, next_block_id,
                                     device.worker_count, item_codec)
                 if not packed:
                     break
@@ -365,13 +320,12 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
                 device.in_flight[next_block_id] = packed
                 ep.send_message(Message(
                     MessageKind.WORK_BLOCK,
-                    WORK_BLOCK_MSG.pack(next_block_id, len(buf.data))))
-                ep.send_blob(buf.data)
+                    WORK_BLOCK_MSG.pack(next_block_id, len(block))))
+                ep.send_blob(block)
                 next_block_id += 1
             if not device.in_flight:
                 break  # queue drained and nothing outstanding
-            items_done += _receive_result(device, sequence, item_codec,
-                                          unit_of_index)
+            items_done += _receive_result(device, sequence, item_codec)
         ep.send_message(Message(MessageKind.SHUTDOWN))
     except TransportError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -395,11 +349,7 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
 # ---------------------------------------------------------------------------
 
 def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
-                    host_workers: int = 1, chunk: int = 1,
-                    buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
-                    hot_buffers: int = 2,
-                    queue_trace: list | None = None,
-                    record_units: bool = False) -> RunStatistics:
+                    host_workers: int = 1, chunk: int = 1) -> RunStatistics:
     """Apply ``functor`` to every item of ``sequence``, in place, using the
     host pool and every connected device.
 
@@ -415,10 +365,9 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
     """
     n = len(sequence)
     stats = RunStatistics(total_items=n)
-    unit_of_index = [None] * n if record_units else None
     started = time.perf_counter()
 
-    queue = WorkQueue(n, trace=queue_trace)
+    queue = WorkQueue(n)
     functor_bytes = b""
     item_codec = None
     if devices:
@@ -434,9 +383,7 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
         try:
             fragments.append(run_device_controller(
                 dev, queue, sequence, functor.wire_name, functor_bytes,
-                item_codec, hot_buffers=hot_buffers,
-                buffer_capacity=buffer_capacity,
-                unit_of_index=unit_of_index))
+                item_codec))
         except BaseException as exc:
             # The call fails: stop handing out work, keep the call joinable,
             # then re-raise to the caller.
@@ -456,8 +403,7 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
     def worker_task(label: str):
         t0 = time.perf_counter()
         try:
-            count = run_host_worker(queue, sequence, functor, chunk,
-                                    unit_of_index, unit=label)
+            count = run_host_worker(queue, sequence, functor, chunk)
         except BaseException as exc:
             # Functor failure: stop handing out work, keep the call joinable
             # so controllers wind down, then re-raise to the caller.
@@ -478,8 +424,7 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
 
     # Mop up anything re-queued after the workers exited (lost devices).
     t0 = time.perf_counter()
-    drained = run_host_worker(queue, sequence, functor, max(chunk, 16),
-                              unit_of_index, unit="host/drain")
+    drained = run_host_worker(queue, sequence, functor, max(chunk, 16))
     if drained:
         stats.items_by_unit["host/drain"] = drained
         stats.busy_seconds["host/drain"] = time.perf_counter() - t0
@@ -499,5 +444,4 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
             stats.devices_lost.append(frag["unit"])
             stats.device_errors[frag["unit"]] = frag["error"]
     stats.wall_seconds = time.perf_counter() - started
-    stats.unit_of_index = unit_of_index
     return stats

@@ -485,8 +485,7 @@ class StepTiming:
 
 
 def simulation_step(state: SimulationState, device_specs: Sequence = (),
-                    host_workers: int = 1,
-                    buffer_capacity: int = 1 << 20) -> StepTiming:
+                    host_workers: int = 1) -> StepTiming:
     """Advance the state by one step.
 
     Phase 1 runs serially on the host. Phases 2 and 3 run through
@@ -513,12 +512,10 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
         devices = [connect_device(spec, i) for i, spec in enumerate(device_specs)]
         t0 = time.perf_counter()
         stats = hybrid_for_each(state.particles, functor, devices,
-                                host_workers=host_workers,
-                                buffer_capacity=buffer_capacity)
+                                host_workers=host_workers)
         setattr(timing, phase_name, time.perf_counter() - t0)
         timing.stats.append(stats)
-        timing.items_on_devices += sum(
-            c for u, c in stats.items_by_unit.items() if u.startswith("device/"))
+        timing.items_on_devices += stats.device_items
 
     t0 = time.perf_counter()
     integrate = functors.IntegrateAction(state.params.dt)

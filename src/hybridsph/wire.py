@@ -14,6 +14,9 @@ A codec is any object with three methods:
 ``deserialize(serialize(v))`` must reproduce ``v`` bitwise (including NaN
 payloads and signed zeros), and ``size(v)`` must equal the emitted count for
 every value.
+
+Writers append to a growable ``bytearray``. How items are framed into
+blocks is ``runtime``'s business (``encode_block`` / ``decode_block``).
 """
 
 from __future__ import annotations
@@ -29,44 +32,26 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
 
-class CapacityError(Exception):
-    """Write would exceed a fixed-capacity region."""
-
-
 class TruncatedInputError(Exception):
     """Read past the end of the source region."""
 
 
 class ByteWriter:
-    """Append-only cursor over a byte region.
-
-    With ``capacity=None`` the destination grows as needed; otherwise any
-    write that would push the cursor past ``capacity`` raises
-    :class:`CapacityError` without emitting anything (no silent truncation,
-    no partial writes).
+    """Append-only cursor over a growable byte region.
 
     A writer must not be used from two concurrent contexts.
     """
 
-    __slots__ = ("data", "capacity")
+    __slots__ = ("data",)
 
-    def __init__(self, data: bytearray | None = None, capacity: int | None = None):
+    def __init__(self, data: bytearray | None = None):
         self.data = bytearray() if data is None else data
-        self.capacity = capacity
 
     @property
     def position(self) -> int:
         return len(self.data)
 
-    def _check(self, nbytes: int) -> None:
-        if self.capacity is not None and len(self.data) + nbytes > self.capacity:
-            raise CapacityError(
-                f"write of {nbytes} bytes at offset {len(self.data)} exceeds "
-                f"capacity {self.capacity}"
-            )
-
     def write_bytes(self, b: bytes | bytearray | memoryview) -> int:
-        self._check(len(b))
         self.data += b
         return len(b)
 

@@ -26,9 +26,18 @@ class TestParseConfig:
         cfg = parse_config(["--devices", "3", "--device-workers", "2"])
         assert [s.worker_count for s in cfg.device_specs()] == [2, 2, 2]
 
-    def test_zero_bandwidth_is_usage_error(self):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--bandwidth", "0"], id="zero-bandwidth"),
+        pytest.param(["--resolution", "0x10"], id="zero-resolution"),
+        pytest.param(["--devices", "1", "--device-workers", "0"],
+                     id="zero-device-workers"),
+        pytest.param(["--host-workers", "-1"], id="negative-host-workers"),
+        pytest.param(["--bench", "--item-delay", "-1"],
+                     id="negative-item-delay"),
+    ])
+    def test_usage_error_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
-            parse_config(["--bandwidth", "0"])
+            parse_config(argv)
         assert exc.value.code == 2
 
     def test_unknown_flag_is_usage_error(self):
@@ -116,12 +125,20 @@ class TestRun:
             assert a == b
 
     def test_device_run_records_fraction(self, tmp_path):
-        cfg = RunConfig(particles=300, steps=1, resolution=(8, 8),
+        # One step: the run's fraction is the step's, device items over the
+        # phase 2 and 3 items (phase 4 never leaves the host).
+        cfg = RunConfig(particles=600, steps=1, resolution=(8, 8),
                         out=tmp_path / "dev", devices=1, device_workers=(4,),
                         host_workers=1)
         status, report = run(cfg, log=quiet)
         assert status == 0
-        assert 0.0 <= report.coproc_fraction <= 1.0
+        assert report.items_by_unit["device/0"] > 0
+        assert report.coproc_fraction == (
+            report.items_by_unit["device/0"] / (2 * 600))
+        with open(tmp_path / "dev" / "timing.csv") as f:
+            row = next(csv.DictReader(f))
+        assert float(row["coproc_fraction"]) == round(
+            report.coproc_fraction, 6)
 
 
 class TestBench:

@@ -55,7 +55,6 @@ class TestTakeSemantics:
         q = WorkQueue(4)
         q.take(4)
         assert q.take(5) == []
-        assert q.empty_hint()
 
     def test_put_back_then_take(self):
         q = WorkQueue(10)
@@ -76,11 +75,12 @@ class TestTakeSemantics:
 
     def test_empty_means_no_high_and_counter_done(self):
         q = WorkQueue(2)
-        assert not q.empty_hint()
         taken = q.take(2)
-        assert q.empty_hint()
+        assert q.take(1) == []
+        # a put-back after the counter is done makes the queue non-empty
         q.put_back(taken)
-        assert not q.empty_hint()
+        assert q.take(3) == taken
+        assert q.take(1) == []
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 99)),

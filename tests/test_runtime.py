@@ -1,6 +1,7 @@
 """Hybrid runtime: packing, controllers, and the for-each contract."""
 
 import re
+import struct
 import sys
 import threading
 
@@ -8,10 +9,9 @@ import pytest
 
 from hybridsph import device_worker, runtime
 from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
-from hybridsph.runtime import (DeviceSpec, DeviceState, ItemTooLargeError,
-                               TransferBuffer, WorkQueue, connect_device,
-                               decode_block, hybrid_for_each, pack_block,
-                               parse_block)
+from hybridsph.runtime import (DeviceSpec, DeviceState, WorkQueue,
+                               connect_device, decode_block, encode_block,
+                               hybrid_for_each, pack_block, parse_block)
 from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
                                  MessageKind, PeerClosedError, TraceRecorder,
                                  create_endpoint_pair, decode_message)
@@ -63,49 +63,46 @@ def max_unresulted_blocks(trace: TraceRecorder) -> int:
 
 
 class TestPackBlock:
-    ITEM = 4 + 8  # i32 payload plus the sequence-index prefix
-
-    def capacity_for(self, items: int) -> int:
-        return 12 + items * self.ITEM  # block header + framed items
+    # Block 42 holding the i32 items 7, 8, 9 at indices 0, 1, 2: block id
+    # u64 and item count u32, then per item its index u64 and value i32.
+    PINNED_BLOCK = ("2a00000000000000" "03000000"
+                    "0000000000000000" "07000000"
+                    "0100000000000000" "08000000"
+                    "0200000000000000" "09000000")
 
     def test_exact_fit_packs_all(self):
+        # a batch the size of the remaining work takes all of it
         q = WorkQueue(4)
-        buf = TransferBuffer(self.capacity_for(4))
-        buf.begin(0)
-        packed = pack_block(q, [10, 20, 30, 40], buf, 4, I32_CODEC)
+        block = bytearray()
+        packed = pack_block(q, [10, 20, 30, 40], block, 0, 4, I32_CODEC)
         assert packed == [0, 1, 2, 3]
-        assert buf.item_count == 4
+        assert decode_block(bytes(block), I32_CODEC) == (
+            0, [(0, 10), (1, 20), (2, 30), (3, 40)])
         assert q.take(1) == []
-
-    def test_overflow_puts_back_excess_high_priority(self):
-        q = WorkQueue(10)
-        buf = TransferBuffer(self.capacity_for(2))
-        buf.begin(0)
-        packed = pack_block(q, list(range(100, 110)), buf, 4, I32_CODEC)
-        assert packed == [0, 1]
-        # 3rd and 4th taken indices went back with high priority
-        assert q.take(3) == [2, 3, 4]
 
     def test_empty_queue_gives_empty_block(self):
         q = WorkQueue(0)
-        buf = TransferBuffer(self.capacity_for(4))
-        buf.begin(7)
-        assert pack_block(q, [], buf, 4, I32_CODEC) == []
-        assert buf.item_count == 0
+        block = bytearray(b"previous block")
+        assert pack_block(q, [], block, 7, 4, I32_CODEC) == []
+        assert block == b"previous block"
 
     def test_single_item_too_large_raises(self):
-        q = WorkQueue(5)
-        buf = TransferBuffer(self.capacity_for(1) - 1)
-        buf.begin(0)
-        with pytest.raises(ItemTooLargeError):
-            pack_block(q, list(range(5)), buf, 3, I32_CODEC)
+        # 2**31 does not fit the i32 codec; the block is left as it was
+        q = WorkQueue(3)
+        block = bytearray(b"previous block")
+        with pytest.raises(struct.error):
+            pack_block(q, [1, 2**31, 3], block, 0, 3, I32_CODEC)
+        assert block == b"previous block"
 
     def test_block_payload_parses_back(self):
         q = WorkQueue(3)
-        buf = TransferBuffer(self.capacity_for(3))
-        buf.begin(42)
-        pack_block(q, [7, 8, 9], buf, 3, I32_CODEC)
-        block_id, count, reader = parse_block(bytes(buf.data))
+        block = bytearray()
+        assert pack_block(q, [7, 8, 9], block, 42, 3, I32_CODEC) == [0, 1, 2]
+        # One encoder for every block: pinned bytes, the same as packed.
+        encoded = encode_block(42, [(0, 7), (1, 8), (2, 9)], I32_CODEC)
+        assert encoded.hex() == self.PINNED_BLOCK
+        assert encoded == block
+        block_id, count, reader = parse_block(bytes(block))
         assert (block_id, count) == (42, 3)
         items = []
         for _ in range(count):
@@ -114,7 +111,7 @@ class TestPackBlock:
         assert items == [(0, 7), (1, 8), (2, 9)]
         # decode_block reads the same block whole and rejects a short or
         # overlong payload.
-        blob = bytes(buf.data)
+        blob = bytes(block)
         assert decode_block(blob, I32_CODEC) == (42, items)
         with pytest.raises(TruncatedInputError):
             decode_block(blob[:-1], I32_CODEC)
@@ -158,13 +155,9 @@ class TestHybridForEach:
         devs = [connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), i)
                 for i in range(2)]
         stats = hybrid_for_each(items, SleepAction(0.0005), devs,
-                                host_workers=2, record_units=True)
+                                host_workers=2)
+        assert items == [v + 1 for v in range(300)]
         assert sum(stats.items_by_unit.values()) == 300
-        assert all(u is not None for u in stats.unit_of_index)
-        # per-unit counts agree with the per-index record
-        from collections import Counter
-        assert Counter(stats.unit_of_index) == Counter(
-            {k: v for k, v in stats.items_by_unit.items() if v})
 
     def test_double_buffering_bound_on_trace(self):
         trace = TraceRecorder()
@@ -173,15 +166,6 @@ class TestHybridForEach:
         items = list(range(400))
         hybrid_for_each(items, SleepAction(0.0003), [dev], host_workers=1)
         assert 1 <= max_unresulted_blocks(trace) <= 2
-
-    def test_hot_buffers_knob_raises_bound(self):
-        trace = TraceRecorder()
-        dev = connect_device(DeviceSpec(worker_count=4, link=LinkConfig()), 0,
-                             trace=trace)
-        items = list(range(400))
-        hybrid_for_each(items, SleepAction(0.0003), [dev], host_workers=0,
-                        hot_buffers=3)
-        assert max_unresulted_blocks(trace) <= 3
 
     def test_device_workers_send_each_block_once(self):
         # More device workers than cores and a tiny switch interval: a lost
@@ -208,23 +192,13 @@ class TestHybridForEach:
         assert items == [3 * v + 2 for v in range(4000)]
         assert not done["stats"].devices_lost, done["stats"].device_errors
 
-    def test_put_back_on_tiny_buffer_still_exact(self):
-        # capacity fits exactly one framed i64 item; batch of 8 forces
-        # put-backs on every pack
-        queue_trace: list = []
-        dev = connect_device(DeviceSpec(worker_count=8, link=LinkConfig()), 0)
-        items = list(range(64))
-        hybrid_for_each(items, SleepAction(0.0002), [dev],
-                        host_workers=0, buffer_capacity=12 + 8 + 8,
-                        queue_trace=queue_trace)
-        assert items == [v + 1 for v in range(64)]
-        assert any(op == "put_back" for op, *_ in queue_trace)
-
     def test_item_too_large_propagates(self):
+        # 2**31 does not fit the i32 item codec: packing fails on the host,
+        # and that is the caller's error, not a lost device.
         dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0)
-        with pytest.raises(ItemTooLargeError):
-            hybrid_for_each(list(range(10)), AffineAction(1), [dev],
-                            host_workers=0, buffer_capacity=13)
+        with pytest.raises(struct.error):
+            hybrid_for_each([2**31] * 10, AffineAction(1), [dev],
+                            host_workers=0)
 
     def test_chunked_host_workers(self):
         items = list(range(100))
@@ -316,15 +290,9 @@ def _scripted_peer(ep, mode: str) -> None:
         ep.recv_message()  # FUNCTOR_STATE: the wire name ...
         ep.recv_blob()     # ... then the functor state
         bid, _ = runtime.WORK_BLOCK_MSG.unpack(ep.recv_message().payload)
-        _, count, reader = parse_block(ep.recv_blob())
-        result = TransferBuffer(1 << 16)
-        writer = result.begin(bid)
-        for _ in range(count):
-            writer.write_u64(reader.read_u64())
-            I64_CODEC.serialize(I64_CODEC.deserialize(reader) + 1, writer)
-            result.item_count += 1
-        result.finalize()
-        data = bytes(result.data)
+        _, items = decode_block(ep.recv_blob(), I64_CODEC)
+        data = bytes(encode_block(bid, [(i, v + 1) for i, v in items],
+                                  I64_CODEC))
         if mode == "truncated":
             data = data[:-4]
         ep.send_message(Message(MessageKind.RESULT_BLOCK,
@@ -387,7 +355,7 @@ class TestDeviceLoss:
         assert items == [4 * 2**30 + 2] * 8
         assert stats.devices_lost == ["device/0"]
         reason = stats.device_errors["device/0"]
-        assert re.search(r"item [0-7]: error: ", reason), reason
+        assert re.search(r"result block \d+: error: ", reason), reason
 
     def test_killed_subprocess_device_recovers(self):
         dev = connect_device(

@@ -213,9 +213,9 @@ def _golden_trace(kind: str):
     spec = DeviceSpec(worker_count=1, link=LinkConfig(kind=kind))
     dev = connect_device(spec, 0, trace=trace)
     items = list(range(6))
-    # Lockstep: one hot buffer, no host workers, single device worker.
-    hybrid_for_each(items, AffineAction(5), [dev], host_workers=0,
-                    hot_buffers=1)
+    # No host workers and one device worker: every item travels in its own
+    # block, and results come back in the order the blocks were sent.
+    hybrid_for_each(items, AffineAction(5), [dev], host_workers=0)
     assert items == [v * 5 + 2 for v in range(6)]
     return trace
 
@@ -227,8 +227,8 @@ class TestTransportEquivalence:
         # Byte-identical outbound message and blob streams...
         assert a.frames("send_msg") == b.frames("send_msg")
         assert a.frames("send_blob") == b.frames("send_blob")
-        # ... and byte-identical inbound streams (lockstep scheduling makes
-        # the ack/result interleaving deterministic too).
+        # ... and byte-identical inbound streams (one device worker makes
+        # the result order deterministic too).
         assert a.frames("recv_msg") == b.frames("recv_msg")
         assert a.frames("recv_blob") == b.frames("recv_blob")
         kinds = a.message_kinds("send_msg")

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from hybridsph import sph
 from hybridsph.functors import AffineAction
 from hybridsph.sph import PARTICLE_CODEC, PARTICLE_WIRE_SIZE, Particle
-from hybridsph.wire import (ByteReader, ByteWriter, CapacityError,
-                            TruncatedInputError, decode_functor,
-                            encode_functor, functor_codec)
+from hybridsph.wire import (ByteReader, ByteWriter, TruncatedInputError,
+                            decode_functor, encode_functor, functor_codec)
 
 from conftest import particle_bits
 
@@ -35,14 +34,6 @@ class TestByteWriter:
         w.write_u32(1)
         w.write_f64(2.0)
         assert w.position == 12
-
-    def test_fixed_capacity_rejects_overflow(self):
-        w = ByteWriter(capacity=6)
-        w.write_u32(1)
-        with pytest.raises(CapacityError):
-            w.write_u32(2)
-        # nothing was written by the failed call
-        assert w.position == 4
 
     def test_written_bytes_visible_to_reader(self):
         w = ByteWriter()
