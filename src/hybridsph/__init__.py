@@ -8,8 +8,8 @@ hydrodynamics nebula simulator with a volume ray-cast renderer and a
 benchmark CLI.
 """
 
-from .runtime import (DeviceSpec, DeviceState, RunStatistics, WorkQueue,
-                      connect_device, hybrid_for_each)
+from .runtime import (DeviceSpec, RunStatistics, WorkQueue, connect_device,
+                      hybrid_for_each)
 from .sph import Particle, SimParams, SimulationState, make_scene, simulation_step
 from .transport import LinkConfig
 
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeviceSpec",
-    "DeviceState",
     "LinkConfig",
     "Particle",
     "RunStatistics",

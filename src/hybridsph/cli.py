@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import functors, render, sph
-from .runtime import DeviceSpec, connect_device, hybrid_for_each
+from .runtime import DeviceSpec, connect_devices, hybrid_for_each
 from .transport import LinkConfig
 
 SWEEP_LADDER = (1000, 8000, 27000, 64000, 125000, 216000, 343000,
@@ -326,7 +326,7 @@ def run_synthetic(n_items: int, device_specs, host_workers: int,
     items = list(range(n_items))
     functor = functors.SleepAction(delay_s)
     t0 = time.perf_counter()
-    devices = [connect_device(spec, i) for i, spec in enumerate(device_specs)]
+    devices = connect_devices(device_specs)
     stats = hybrid_for_each(items, functor, devices, host_workers=host_workers)
     elapsed = time.perf_counter() - t0
     if items != [v + 1 for v in range(n_items)]:

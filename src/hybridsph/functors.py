@@ -6,9 +6,12 @@ any shared state, all flattened through the codec registered under its
 the call; changes to functor fields on a device are never reflected on the
 host. ``apply`` may mutate its argument in place and must return the item
 (the sequence slot is assigned from the return value, which also supports
-immutable item types).
+immutable item types). ``item_codec`` names the codec for its items.
 
-``item_codec`` names the codec for the items the functor processes.
+A value functor is a dataclass of numbers that declares its wire layout by
+registering ``RecordCodec(<struct format of its fields>, cls)``. The SPH
+phase actions ship the whole simulation state instead; phase 4 never leaves
+the host, so ``IntegrateAction`` has no wire name.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from . import sph
 from .wire import (ByteReader, ByteWriter, I32_CODEC, I64_CODEC,
-                   register_functor)
+                   RecordCodec, register_functor)
 
 
 @dataclass
@@ -32,17 +35,6 @@ class AffineAction:
 
     def apply(self, x: int) -> int:
         return x * self.scale + 2
-
-
-class _AffineCodec:
-    def serialize(self, f: AffineAction, w: ByteWriter) -> int:
-        return w.write_i32(f.scale)
-
-    def deserialize(self, r: ByteReader) -> AffineAction:
-        return AffineAction(r.read_i32())
-
-    def size(self, f: AffineAction) -> int:
-        return 4
 
 
 @dataclass
@@ -65,17 +57,6 @@ class SleepAction:
         return x + 1
 
 
-class _SleepCodec:
-    def serialize(self, f: SleepAction, w: ByteWriter) -> int:
-        return w.write_f64(f.delay_s)
-
-    def deserialize(self, r: ByteReader) -> SleepAction:
-        return SleepAction(r.read_f64())
-
-    def size(self, f: SleepAction) -> int:
-        return 8
-
-
 @dataclass
 class JitterSleepAction:
     """Value-dependent delay then an affine transform; exercises schedulers
@@ -92,17 +73,6 @@ class JitterSleepAction:
         if d > 0:
             time.sleep(d)
         return x * 3 + 2
-
-
-class _JitterSleepCodec:
-    def serialize(self, f: JitterSleepAction, w: ByteWriter) -> int:
-        return w.write_f64(f.base_s) + w.write_u32(f.modulus)
-
-    def deserialize(self, r: ByteReader) -> JitterSleepAction:
-        return JitterSleepAction(r.read_f64(), r.read_u32())
-
-    def size(self, f: JitterSleepAction) -> int:
-        return 12
 
 
 class DensityGravityAction:
@@ -150,9 +120,6 @@ class _StateActionCodec:
     def deserialize(self, r: ByteReader):
         return self._cls(sph.SIM_STATE_CODEC.deserialize(r))
 
-    def size(self, f) -> int:
-        return sph.SIM_STATE_CODEC.size(f.state)
-
 
 @dataclass
 class IntegrateAction:
@@ -160,16 +127,14 @@ class IntegrateAction:
 
     dt: float
 
-    wire_name = "sph-integrate"
-    item_codec = sph.PARTICLE_CODEC
-
     def apply(self, p: sph.Particle) -> sph.Particle:
         return sph.phase4_integrate(p, self.dt)
 
 
-register_functor(AffineAction.wire_name, _AffineCodec())
-register_functor(SleepAction.wire_name, _SleepCodec())
-register_functor(JitterSleepAction.wire_name, _JitterSleepCodec())
+register_functor(AffineAction.wire_name, RecordCodec("<i", AffineAction))
+register_functor(SleepAction.wire_name, RecordCodec("<d", SleepAction))
+register_functor(JitterSleepAction.wire_name,
+                 RecordCodec("<dI", JitterSleepAction))
 register_functor(DensityGravityAction.wire_name,
                  _StateActionCodec(DensityGravityAction))
 register_functor(PressureForceAction.wire_name,

@@ -7,7 +7,9 @@ item blocks, batched to its worker count and shipped as single bulk
 transfers, with double buffering so the device rarely starves. One
 controller thread per device packs each block, sends it, waits for the
 result block and scatters it back into the sequence by item index, so
-completion order never affects the outcome.
+completion order never affects the outcome. A device is the
+``transport.DeviceHandle`` that ``connect_device`` or ``connect_devices``
+returns; the call it is passed to closes it on every path.
 
 This module alone knows the block format: ``encode_block`` writes a block
 payload (host work blocks and device result blocks alike) and
@@ -155,27 +157,27 @@ class DeviceSpec:
     link: LinkConfig = field(default_factory=LinkConfig)
 
 
-@dataclass
-class DeviceState:
-    """Host-side view of one connected device during a call."""
-
-    handle: DeviceHandle
-    worker_count: int
-    label: str = "device/0"
-    in_flight: dict[int, list[int]] = field(default_factory=dict)
-
-    @property
-    def endpoint(self):
-        return self.handle.endpoint
-
-
 def connect_device(spec: DeviceSpec, index: int = 0,
-                   trace: TraceRecorder | None = None) -> DeviceState:
-    """Connect one device per its spec; the returned state serves one
-    hybrid_for_each call (the controller shuts the device down at the end)."""
+                   trace: TraceRecorder | None = None) -> DeviceHandle:
+    """Connect one device per its spec, labelled ``device/<index>``; it
+    serves one hybrid_for_each call, which closes it."""
     handle = transport.connect(spec.link, spec.worker_count, trace=trace)
-    return DeviceState(handle=handle, worker_count=handle.worker_count,
-                       label=f"device/{index}")
+    handle.label = f"device/{index}"
+    return handle
+
+
+def connect_devices(specs: Sequence[DeviceSpec]) -> list[DeviceHandle]:
+    """Connect one device per spec, in order. If a connect fails, the
+    devices already up are closed before the error propagates."""
+    devices: list[DeviceHandle] = []
+    try:
+        for i, spec in enumerate(specs):
+            devices.append(connect_device(spec, i))
+    except BaseException:
+        for dev in devices:
+            dev.close()
+        raise
+    return devices
 
 
 @dataclass
@@ -249,14 +251,13 @@ def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int) -> int:
 # Device controller
 # ---------------------------------------------------------------------------
 
-def _receive_result(device: DeviceState, sequence, item_codec: Codec) -> int:
+def _receive_result(ep, in_flight: dict, sequence, item_codec: Codec) -> int:
     """Wait for the next result block and scatter it; returns its item count.
 
     The whole block is decoded and checked against the indices sent before
     any item is written, so a malformed result leaves the sequence untouched
     and its indices can safely run elsewhere. Any fault is a TransportError.
     """
-    ep = device.endpoint
     msg = ep.recv_message()
     if msg.kind == MessageKind.SHUTDOWN:
         raise TransportError("device reported failure: "
@@ -272,17 +273,17 @@ def _receive_result(device: DeviceState, sequence, item_codec: Codec) -> int:
         if blk_id != bid:
             raise ValueError(f"block id {blk_id} does not match "
                              f"announcement {bid}")
-        if [i for i, _ in results] != device.in_flight.get(bid):
+        if [i for i, _ in results] != in_flight.get(bid):
             raise ValueError("indices differ from those sent")
     except Exception as exc:
         raise TransportError(f"malformed result block {bid}: {exc}") from exc
     for idx, value in results:
         sequence[idx] = value
-    del device.in_flight[bid]
+    del in_flight[bid]
     return len(results)
 
 
-def run_device_controller(device: DeviceState, queue: WorkQueue,
+def run_device_controller(device: DeviceHandle, queue: WorkQueue,
                           sequence, functor_name: str, functor_bytes: bytes,
                           item_codec: Codec) -> dict:
     """Drive one device through a full call, all on the calling thread.
@@ -302,6 +303,7 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
     started = time.perf_counter()
     items_done = 0
     next_block_id = 0
+    in_flight: dict[int, list[int]] = {}  # block id -> indices sent
     error = None
     block = bytearray()
     try:
@@ -310,29 +312,29 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
         ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(name.data)))
         ep.send_blob(functor_bytes)
         while True:
-            while len(device.in_flight) < HOT_BUFFERS:
+            while len(in_flight) < HOT_BUFFERS:
                 packed = pack_block(queue, sequence, block, next_block_id,
                                     device.worker_count, item_codec)
                 if not packed:
                     break
                 # Recorded before sending, so a send that fails still
                 # leaves these indices to be put back.
-                device.in_flight[next_block_id] = packed
+                in_flight[next_block_id] = packed
                 ep.send_message(Message(
                     MessageKind.WORK_BLOCK,
                     WORK_BLOCK_MSG.pack(next_block_id, len(block))))
                 ep.send_blob(block)
                 next_block_id += 1
-            if not device.in_flight:
+            if not in_flight:
                 break  # queue drained and nothing outstanding
-            items_done += _receive_result(device, sequence, item_codec)
+            items_done += _receive_result(ep, in_flight, sequence,
+                                          item_codec)
         ep.send_message(Message(MessageKind.SHUTDOWN))
     except TransportError as exc:
         error = f"{type(exc).__name__}: {exc}"
-        queue.put_back([i for ids in device.in_flight.values() for i in ids])
-        device.in_flight.clear()
+        queue.put_back([i for ids in in_flight.values() for i in ids])
     finally:
-        device.handle.close()
+        device.close()
 
     return {
         "unit": device.label,
@@ -348,7 +350,7 @@ def run_device_controller(device: DeviceState, queue: WorkQueue,
 # hybrid_for_each
 # ---------------------------------------------------------------------------
 
-def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
+def hybrid_for_each(sequence, functor, devices: Sequence[DeviceHandle] = (), *,
                     host_workers: int = 1, chunk: int = 1) -> RunStatistics:
     """Apply ``functor`` to every item of ``sequence``, in place, using the
     host pool and every connected device.
@@ -358,28 +360,32 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceState] = (), *,
     and the device's functor copy is discarded afterwards. Blocks until all
     results are back in the sequence.
 
-    ``devices`` are consumed: their controllers end the session with
-    SHUTDOWN. A device lost mid-call only costs time; its pending items are
-    re-queued at high priority, the call completes on the remaining units,
-    and ``RunStatistics.device_errors`` keeps why the device was lost.
+    ``devices`` are consumed: the call closes them, even when the functor
+    cannot be encoded. A device lost mid-call only costs time; its pending
+    items are re-queued at high priority, the call completes on the
+    remaining units, and ``RunStatistics.device_errors`` keeps why.
     """
     n = len(sequence)
     stats = RunStatistics(total_items=n)
     started = time.perf_counter()
 
     queue = WorkQueue(n)
-    functor_bytes = b""
-    item_codec = None
+    functor_bytes = item_codec = None
     if devices:
         # Encoded once, before any worker can mutate an item, so every
         # device receives the same pre-call snapshot.
-        functor_bytes = encode_functor(functor)
-        item_codec = functor.item_codec
+        try:
+            functor_bytes = encode_functor(functor)
+            item_codec = functor.item_codec
+        except BaseException:
+            for dev in devices:
+                dev.close()
+            raise
 
     fragments: list[dict] = []
     controller_errors: list[BaseException] = []
 
-    def controller_main(dev: DeviceState):
+    def controller_main(dev: DeviceHandle):
         try:
             fragments.append(run_device_controller(
                 dev, queue, sequence, functor.wire_name, functor_bytes,

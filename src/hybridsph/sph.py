@@ -72,9 +72,6 @@ class ParticleCodec:
         start = reader._take(PARTICLE_WIRE_SIZE)
         return Particle(*_PARTICLE_STRUCT.unpack_from(reader.data, start))
 
-    def size(self, p: Particle) -> int:
-        return PARTICLE_WIRE_SIZE
-
 
 PARTICLE_CODEC = ParticleCodec()
 
@@ -428,11 +425,6 @@ class SimStateCodec:
         state.index = build_index(particles, params.index_grid())
         return state
 
-    def size(self, state: SimulationState) -> int:
-        return (_PARAMS_STRUCT.size
-                + 24 + 24 * state.gravity.grid.cell_count
-                + 8 + PARTICLE_WIRE_SIZE * len(state.particles))
-
 
 SIM_STATE_CODEC = SimStateCodec()
 
@@ -495,7 +487,7 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     transfers than it saves.
     """
     from . import functors
-    from .runtime import connect_device, hybrid_for_each
+    from .runtime import connect_devices, hybrid_for_each
 
     timing = StepTiming()
     t0 = time.perf_counter()
@@ -509,7 +501,7 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     for phase_name, functor in (
             ("phase2_s", functors.DensityGravityAction(state)),
             ("phase3_s", functors.PressureForceAction(state))):
-        devices = [connect_device(spec, i) for i, spec in enumerate(device_specs)]
+        devices = connect_devices(device_specs)
         t0 = time.perf_counter()
         stats = hybrid_for_each(state.particles, functor, devices,
                                 host_workers=host_workers)

@@ -346,25 +346,24 @@ def socket_endpoint(label: str, msg_sock: socket.socket,
 # ---------------------------------------------------------------------------
 
 class DeviceHandle:
-    """A live device: host endpoint plus whatever runs the device side."""
+    """A live device: host endpoint, unit label, and the device side."""
 
     def __init__(self, endpoint: Endpoint, worker_count: int,
-                 config: LinkConfig,
                  master_thread: threading.Thread | None = None,
                  process: subprocess.Popen | None = None):
         self.endpoint = endpoint
         self.worker_count = worker_count
-        self.config = config
+        self.label = "device/0"  # runtime.connect_device numbers it
         self._master_thread = master_thread
         self._process = process
 
-    def close(self, timeout: float = 30.0) -> None:
+    def close(self) -> None:
         self.endpoint.close()
         if self._master_thread is not None:
-            self._master_thread.join(timeout)
+            self._master_thread.join(30.0)
         if self._process is not None:
             try:
-                self._process.wait(timeout)
+                self._process.wait(30.0)
             except subprocess.TimeoutExpired:
                 self._process.kill()
                 self._process.wait(10.0)
@@ -464,7 +463,7 @@ def connect(config: LinkConfig, worker_count: int, *,
             host_ep.close()
             master.join(5.0)
             raise
-        return DeviceHandle(host_ep, workers, config, master_thread=master)
+        return DeviceHandle(host_ep, workers, master_thread=master)
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -495,4 +494,4 @@ def connect(config: LinkConfig, worker_count: int, *,
         raise
     finally:
         listener.close()
-    return DeviceHandle(endpoint, workers, config, process=proc)
+    return DeviceHandle(endpoint, workers, process=proc)

@@ -5,15 +5,14 @@ of two 4-byte fields occupies exactly 8 bytes on the wire. Both sides agree
 on the layout ahead of time, so no type tags or field descriptors are
 emitted inside a value.
 
-A codec is any object with three methods:
+A codec is any object with two methods:
 
     serialize(value, writer) -> int   # bytes emitted
     deserialize(reader) -> value
-    size(value) -> int                # exact byte count serialize will emit
 
 ``deserialize(serialize(v))`` must reproduce ``v`` bitwise (including NaN
-payloads and signed zeros), and ``size(v)`` must equal the emitted count for
-every value.
+payloads and signed zeros). ``RecordCodec`` is how value functors declare
+their wire layout: one ``struct`` format over a dataclass's fields.
 
 Writers append to a growable ``bytearray``. How items are framed into
 blocks is ``runtime``'s business (``encode_block`` / ``decode_block``).
@@ -21,15 +20,12 @@ blocks is ``runtime``'s business (``encode_block`` / ``decode_block``).
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from typing import Any, Protocol
 
-_U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_I32 = struct.Struct("<i")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 
 
 class TruncatedInputError(Exception):
@@ -60,15 +56,6 @@ class ByteWriter:
 
     def write_u64(self, v: int) -> int:
         return self.write_bytes(_U64.pack(v))
-
-    def write_i32(self, v: int) -> int:
-        return self.write_bytes(_I32.pack(v))
-
-    def write_i64(self, v: int) -> int:
-        return self.write_bytes(_I64.pack(v))
-
-    def write_f64(self, v: float) -> int:
-        return self.write_bytes(_F64.pack(v))
 
     def write_str(self, s: str) -> int:
         raw = s.encode("utf-8")
@@ -108,23 +95,11 @@ class ByteReader:
         start = self._take(nbytes)
         return bytes(self.data[start : start + nbytes])
 
-    def read_u8(self) -> int:
-        return _U8.unpack_from(self.data, self._take(1))[0]
-
     def read_u32(self) -> int:
         return _U32.unpack_from(self.data, self._take(4))[0]
 
     def read_u64(self) -> int:
         return _U64.unpack_from(self.data, self._take(8))[0]
-
-    def read_i32(self) -> int:
-        return _I32.unpack_from(self.data, self._take(4))[0]
-
-    def read_i64(self) -> int:
-        return _I64.unpack_from(self.data, self._take(8))[0]
-
-    def read_f64(self) -> float:
-        return _F64.unpack_from(self.data, self._take(8))[0]
 
     def read_str(self) -> str:
         n = self.read_u32()
@@ -135,8 +110,6 @@ class Codec(Protocol):
     def serialize(self, value: Any, writer: ByteWriter) -> int: ...
 
     def deserialize(self, reader: ByteReader) -> Any: ...
-
-    def size(self, value: Any) -> int: ...
 
 
 class StructCodec:
@@ -153,8 +126,24 @@ class StructCodec:
     def deserialize(self, reader: ByteReader) -> Any:
         return self._struct.unpack(reader.read_bytes(self._struct.size))[0]
 
-    def size(self, value: Any) -> int:
-        return self._struct.size
+
+class RecordCodec:
+    """Codec for a dataclass: its fields, in declaration order, packed by
+    one ``struct`` format (``RecordCodec("<dI", JitterSleepAction)``)."""
+
+    __slots__ = ("_struct", "_cls")
+
+    def __init__(self, fmt: str, cls: type):
+        self._struct = struct.Struct(fmt)
+        self._cls = cls
+
+    def serialize(self, value: Any, writer: ByteWriter) -> int:
+        return writer.write_bytes(
+            self._struct.pack(*dataclasses.astuple(value)))
+
+    def deserialize(self, reader: ByteReader) -> Any:
+        return self._cls(*self._struct.unpack(
+            reader.read_bytes(self._struct.size)))
 
 
 I32_CODEC = StructCodec("<i")

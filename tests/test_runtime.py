@@ -4,29 +4,31 @@ import re
 import struct
 import sys
 import threading
+from dataclasses import dataclass
 
 import pytest
 
-from hybridsph import device_worker, runtime
+from hybridsph import cli, device_worker, runtime, sph, transport
 from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
-from hybridsph.runtime import (DeviceSpec, DeviceState, WorkQueue,
-                               connect_device, decode_block, encode_block,
-                               hybrid_for_each, pack_block, parse_block)
+from hybridsph.runtime import (DeviceSpec, WorkQueue, connect_device,
+                               decode_block, encode_block, hybrid_for_each,
+                               pack_block, parse_block)
 from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
-                                 MessageKind, PeerClosedError, TraceRecorder,
-                                 create_endpoint_pair, decode_message)
-from hybridsph.wire import (ByteReader, ByteWriter, I32_CODEC, I64_CODEC,
+                                 MessageKind, PeerClosedError, SpawnError,
+                                 TraceRecorder, create_endpoint_pair,
+                                 decode_message)
+from hybridsph.wire import (I32_CODEC, I64_CODEC, RecordCodec,
                             TruncatedInputError, register_functor)
 
 
+@dataclass
 class PoisonAction:
     """Raises on one specific item value; everything else increments."""
 
+    threshold: int
+
     wire_name = "test-poison-i64"
     item_codec = I64_CODEC
-
-    def __init__(self, threshold: int):
-        self.threshold = threshold
 
     def apply(self, x: int) -> int:
         if x == self.threshold:
@@ -34,18 +36,13 @@ class PoisonAction:
         return x + 1
 
 
-class _PoisonCodec:
-    def serialize(self, f: PoisonAction, w: ByteWriter) -> int:
-        return w.write_i64(f.threshold)
-
-    def deserialize(self, r: ByteReader) -> PoisonAction:
-        return PoisonAction(r.read_i64())
-
-    def size(self, f: PoisonAction) -> int:
-        return 8
+register_functor(PoisonAction.wire_name, RecordCodec("<q", PoisonAction))
 
 
-register_functor(PoisonAction.wire_name, _PoisonCodec())
+class UnregisteredAction(AffineAction):
+    """An action whose wire name has no codec: it cannot be encoded."""
+
+    wire_name = "test-unregistered"
 
 
 def max_unresulted_blocks(trace: TraceRecorder) -> int:
@@ -321,9 +318,7 @@ class TestDeviceLoss:
             host_ep, dev_ep = create_endpoint_pair(cfg)
             peer = threading.Thread(target=_scripted_peer, args=(dev_ep, mode))
             peer.start()
-            dev = DeviceState(handle=DeviceHandle(host_ep, 2, cfg,
-                                                  master_thread=peer),
-                              worker_count=2)
+            dev = DeviceHandle(host_ep, 2, master_thread=peer)
             items = list(range(8))
             stats = hybrid_for_each(items, SleepAction(0.0), [dev],
                                     host_workers=0)
@@ -361,7 +356,7 @@ class TestDeviceLoss:
         dev = connect_device(
             DeviceSpec(worker_count=2, link=LinkConfig(kind="subprocess")), 0)
         items = list(range(300))
-        killer = threading.Timer(0.15, dev.handle._process.kill)
+        killer = threading.Timer(0.15, dev._process.kill)
         killer.start()
         try:
             stats = hybrid_for_each(items, SleepAction(0.002), [dev],
@@ -404,15 +399,54 @@ class TestDeviceLoss:
 class TestHygiene:
     @pytest.mark.parametrize("kind", ["in-process", "subprocess"])
     def test_device_call_leaves_no_threads_or_processes(self, kind):
+        spec = DeviceSpec(worker_count=2, link=LinkConfig(kind=kind))
         before = threading.active_count()
-        dev = connect_device(DeviceSpec(worker_count=2,
-                                        link=LinkConfig(kind=kind)), 0)
+        dev = connect_device(spec, 0)
         items = list(range(40))
         hybrid_for_each(items, SleepAction(0.0002), [dev], host_workers=1)
         assert items == [v + 1 for v in range(40)]
         assert threading.active_count() == before
         if kind == "subprocess":
-            assert dev.handle._process.poll() is not None
+            assert dev._process.poll() is not None
+
+        # A functor that cannot be encoded fails the call before any block
+        # is sent; the device it was given is closed all the same.
+        dev = connect_device(spec, 0)
+        with pytest.raises(KeyError, match="test-unregistered"):
+            hybrid_for_each(list(range(10)), UnregisteredAction(1), [dev],
+                            host_workers=1)
+        assert threading.active_count() == before
+        if kind == "subprocess":
+            assert dev._process.poll() is not None
+
+    @pytest.mark.parametrize("kind", ["in-process", "subprocess"])
+    def test_failed_connect_closes_the_devices_already_up(self, kind,
+                                                          monkeypatch):
+        # The second of two connects fails: the first device, already up,
+        # must not outlive the error, whether the simulation step or the
+        # synthetic workload asked for the devices.
+        real_connect = transport.connect
+        handles = []
+
+        def connect_once(config, worker_count, **kwargs):
+            if handles:
+                raise SpawnError("second device refused")
+            handles.append(real_connect(config, worker_count, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(transport, "connect", connect_once)
+        spec = DeviceSpec(worker_count=2, link=LinkConfig(kind=kind))
+        before = threading.active_count()
+        for call in (lambda: sph.simulation_step(sph.make_scene(20),
+                                                 [spec, spec]),
+                     lambda: cli.run_synthetic(10, [spec, spec], 1, 0.0)):
+            handles.clear()
+            with pytest.raises(SpawnError, match="second device"):
+                call()
+            assert len(handles) == 1
+            assert threading.active_count() == before
+            if kind == "subprocess":
+                assert handles[0]._process.poll() is not None
 
 
 class TestRunStatistics:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridsph import sph
-from hybridsph.functors import AffineAction
+from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
 from hybridsph.sph import PARTICLE_CODEC, PARTICLE_WIRE_SIZE, Particle
 from hybridsph.wire import (ByteReader, ByteWriter, TruncatedInputError,
-                            decode_functor, encode_functor, functor_codec)
+                            decode_functor, encode_functor)
 
 from conftest import particle_bits
 
@@ -32,17 +32,17 @@ class TestByteWriter:
         w = ByteWriter()
         assert w.position == 0
         w.write_u32(1)
-        w.write_f64(2.0)
+        w.write_u64(2)
         assert w.position == 12
 
     def test_written_bytes_visible_to_reader(self):
         w = ByteWriter()
         w.write_u64(2**63 + 5)
-        w.write_i32(-7)
+        w.write_u32(2**32 - 7)
         w.write_str("nebula")
         r = ByteReader(bytes(w.data))
         assert r.read_u64() == 2**63 + 5
-        assert r.read_i32() == -7
+        assert r.read_u32() == 2**32 - 7
         assert r.read_str() == "nebula"
         assert r.remaining == 0
 
@@ -58,14 +58,12 @@ class TestByteReader:
         assert r.read_u32() == 1
         assert r.read_bytes(3) == b"abc"
         with pytest.raises(TruncatedInputError):
-            r.read_u8()
+            r.read_bytes(1)
 
 
 class TestParticleLayout:
     def test_wire_size_matches_field_tally(self):
         assert sum(LAYOUT_WIDTHS) == PARTICLE_WIRE_SIZE == 108
-        p = sample_particle()
-        assert PARTICLE_CODEC.size(p) == 108
 
     def test_serialize_emits_exactly_size_bytes(self):
         w = ByteWriter()
@@ -119,7 +117,7 @@ def test_particle_roundtrip_bitwise(pid, material, fields):
     p = Particle(pid, material, *fields)
     w = ByteWriter()
     n = PARTICLE_CODEC.serialize(p, w)
-    assert n == PARTICLE_CODEC.size(p) == len(w.data)
+    assert n == len(w.data) == 108
     q = PARTICLE_CODEC.deserialize(ByteReader(bytes(w.data)))
     assert particle_bits(q) == particle_bits(p)
 
@@ -145,9 +143,6 @@ class EmptyCodec:
     def deserialize(self, reader):
         return ()
 
-    def size(self, value):
-        return 0
-
 
 def test_empty_payload_emits_zero_bytes():
     w = ByteWriter()
@@ -164,9 +159,6 @@ class PairCodec:
     def deserialize(self, reader):
         return (reader.read_u32(), reader.read_u32())
 
-    def size(self, value):
-        return 8
-
 
 def test_no_framing_overhead_inside_a_value():
     w = ByteWriter()
@@ -175,13 +167,17 @@ def test_no_framing_overhead_inside_a_value():
     assert PairCodec().deserialize(ByteReader(bytes(w.data))) == (3, 4)
 
 
-def test_functor_with_one_i32_costs_four_bytes():
-    f = AffineAction(3)
-    codec = functor_codec(f.wire_name)
-    assert codec.size(f) == 4
-    payload = encode_functor(f)
-    assert len(payload) == 4
-    assert decode_functor(f.wire_name, payload).scale == 3
+# Value functor blobs: the fields in declaration order, packed with no
+# padding (i32; f64; f64 then u32), pinned so the layouts cannot drift.
+@pytest.mark.parametrize("functor, hex_bytes", [
+    (AffineAction(3), "03000000"),
+    (SleepAction(2.5e-4), "fca9f1d24d62303f"),
+    (JitterSleepAction(5e-5, 7), "2d431cebe2360a3f" "07000000"),
+], ids=["affine", "sleep", "jitter-sleep"])
+def test_value_functor_wire_layout(functor, hex_bytes):
+    payload = encode_functor(functor)
+    assert payload.hex() == hex_bytes
+    assert decode_functor(functor.wire_name, payload) == functor
 
 
 def test_state_codec_size_matches_emitted_bytes():
@@ -189,7 +185,11 @@ def test_state_codec_size_matches_emitted_bytes():
     sph.phase1_prepare(state)
     w = ByteWriter()
     n = sph.SIM_STATE_CODEC.serialize(state, w)
-    assert n == len(w.data) == sph.SIM_STATE_CODEC.size(state)
+    # Tallied from the layout: 14 param fields of 8 bytes, the gravity dims
+    # (3 u64) and 3 f64 per gravity cell, the particle count (u64), then
+    # one record per particle.
+    expected = 14 * 8 + 3 * 8 + 3 * 8 * 4 ** 3 + 8 + 108 * 37
+    assert n == len(w.data) == expected
     back = sph.SIM_STATE_CODEC.deserialize(ByteReader(bytes(w.data)))
     assert particle_bits(back.particles[5]) == particle_bits(state.particles[5])
     assert back.gravity.cells == state.gravity.cells
