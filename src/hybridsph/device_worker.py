@@ -7,7 +7,8 @@ workers, decodes each WORK_BLOCK whole with ``runtime.decode_block`` and
 puts one ``(block, position)`` task per item on a single queue. The workers
 run the same take-and-apply loop as the host's: whoever applies a block's
 last item encodes the block's results in block order with
-``runtime.encode_block`` and sends RESULT_BLOCK. Blocks therefore return
+``runtime.encode_block`` and sends RESULT_BLOCK and then its blob, which a
+lock keeps adjacent on the one outbound stream. Blocks therefore return
 whole, possibly out of order, and their bytes do not depend on the order in
 which items complete.
 
@@ -18,7 +19,8 @@ its items.
 
 Runs identically as a thread (in-process transport) or as the main loop of
 the worker executable (subprocess transport, ``python -m
-hybridsph.device_worker --connect <host:port> --workers <n>``).
+hybridsph.device_worker --connect <host:port> --workers <n>``), which makes
+one TCP connection to the host and carries the whole link over it.
 """
 
 from __future__ import annotations
@@ -150,14 +152,6 @@ def serve(endpoint: Endpoint, worker_count: int,
     run_device_worker_loop(endpoint, worker_count)
 
 
-def _connect_channel(host: str, port: int, tag: bytes) -> socket.socket:
-    sock = socket.create_connection((host, port), timeout=60.0)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.settimeout(None)
-    sock.sendall(tag)
-    return sock
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hybridsph-device-worker",
@@ -166,13 +160,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", required=True, type=int)
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
-
-    msg_sock = _connect_channel(host, int(port), b"M")
-    bulk_sock = _connect_channel(host, int(port), b"B")
+    sock = socket.create_connection((host, int(port)), timeout=60.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(None)
 
     # The link parameters arrive in the host's HELLO reply; until then this
     # side sends with zero simulated latency.
-    endpoint = transport.socket_endpoint("device", msg_sock, bulk_sock,
+    endpoint = transport.socket_endpoint("device", sock,
                                          LinkConfig(latency=0.0))
     serve(endpoint, args.workers)
     return 0

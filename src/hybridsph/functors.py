@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass
 
 from . import sph
-from .wire import (ByteReader, ByteWriter, I32_CODEC, I64_CODEC,
-                   RecordCodec, register_functor)
+from .wire import (ByteReader, I32_CODEC, I64_CODEC, RecordCodec,
+                   register_functor)
 
 
 @dataclass
@@ -114,8 +114,8 @@ class _StateActionCodec:
     def __init__(self, cls):
         self._cls = cls
 
-    def serialize(self, f, w: ByteWriter) -> int:
-        return sph.SIM_STATE_CODEC.serialize(f.state, w)
+    def serialize(self, f, out: bytearray) -> None:
+        sph.SIM_STATE_CODEC.serialize(f.state, out)
 
     def deserialize(self, r: ByteReader):
         return self._cls(sph.SIM_STATE_CODEC.deserialize(r))

@@ -34,9 +34,10 @@ from typing import Any, Sequence
 from . import transport
 from .transport import (DeviceHandle, LinkConfig, Message, MessageKind,
                         TraceRecorder, TransportError)
-from .wire import ByteReader, ByteWriter, Codec, encode_functor
+from .wire import ByteReader, Codec, encode_functor, encode_str
 
 BLOCK_HEADER = struct.Struct("<QI")      # block_id u64, item_count u32
+_ITEM_INDEX = struct.Struct("<Q")        # sequence index before each item
 WORK_BLOCK_MSG = struct.Struct("<QQ")    # block_id, payload byte count
 
 # Un-resulted blocks a controller keeps in flight per device: one being
@@ -104,13 +105,13 @@ def encode_block(block_id: int, pairs: Sequence[tuple[int, Any]],
     """Encode ``(index, item)`` pairs, in order, as one block payload: the
     header, then per item its u64 sequence index and its codec bytes.
     ``decode_block`` reads it back."""
-    writer = ByteWriter(bytearray(BLOCK_HEADER.pack(block_id, len(pairs))))
-    write_index = writer.write_u64
+    out = bytearray(BLOCK_HEADER.pack(block_id, len(pairs)))
+    pack_index = _ITEM_INDEX.pack
     serialize = item_codec.serialize
     for idx, item in pairs:
-        write_index(idx)
-        serialize(item, writer)
-    return writer.data
+        out += pack_index(idx)
+        serialize(item, out)
+    return out
 
 
 def pack_block(queue: WorkQueue, sequence: Sequence, block: bytearray,
@@ -264,7 +265,10 @@ def _receive_result(ep, in_flight: dict, sequence, item_codec: Codec) -> int:
                              + msg.payload.decode("utf-8", "replace"))
     if msg.kind != MessageKind.RESULT_BLOCK:
         raise TransportError(f"unexpected message kind {msg.kind!r}")
-    bid, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
+    try:
+        bid, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
+    except struct.error as exc:
+        raise TransportError(f"malformed result announcement: {exc}") from exc
     blob = ep.recv_blob()
     try:
         if len(blob) != nbytes:
@@ -307,9 +311,8 @@ def run_device_controller(device: DeviceHandle, queue: WorkQueue,
     error = None
     block = bytearray()
     try:
-        name = ByteWriter()
-        name.write_str(functor_name)
-        ep.send_message(Message(MessageKind.FUNCTOR_STATE, bytes(name.data)))
+        ep.send_message(Message(MessageKind.FUNCTOR_STATE,
+                                encode_str(functor_name)))
         ep.send_blob(functor_bytes)
         while True:
             while len(in_flight) < HOT_BUFFERS:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 from .grid import GridSpec, SpatialIndex, build_index, cell_coords
-from .wire import ByteReader, ByteWriter
+from .wire import ByteReader
 
 _PI = math.pi
 
@@ -63,10 +63,10 @@ class ParticleCodec:
 
     __slots__ = ()
 
-    def serialize(self, p: Particle, writer: ByteWriter) -> int:
-        return writer.write_bytes(_PARTICLE_STRUCT.pack(
+    def serialize(self, p: Particle, out: bytearray) -> None:
+        out += _PARTICLE_STRUCT.pack(
             p.id, p.material, p.x, p.y, p.z, p.mass, p.density, p.pressure,
-            p.vx, p.vy, p.vz, p.ax, p.ay, p.az))
+            p.vx, p.vy, p.vz, p.ax, p.ay, p.az)
 
     def deserialize(self, reader: ByteReader) -> Particle:
         start = reader._take(PARTICLE_WIRE_SIZE)
@@ -380,25 +380,22 @@ class SimStateCodec:
 
     __slots__ = ()
 
-    def serialize(self, state: SimulationState, writer: ByteWriter) -> int:
-        start = writer.position
+    def serialize(self, state: SimulationState, out: bytearray) -> None:
         p = state.params
         lo, hi = p.world_box
-        writer.write_bytes(_PARAMS_STRUCT.pack(
+        out += _PARAMS_STRUCT.pack(
             p.h, p.dt, p.k_eos, p.G, p.epsilon,
             lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
-            p.gravity_dims[0], p.gravity_dims[1], p.gravity_dims[2]))
+            p.gravity_dims[0], p.gravity_dims[1], p.gravity_dims[2])
         grav = state.gravity
         gd = grav.grid.dims
-        writer.write_bytes(struct.pack("<3Q", gd[0], gd[1], gd[2]))
-        writer.write_bytes(struct.pack(f"<{len(grav.cells)}d", *grav.cells))
-        writer.write_u64(len(state.particles))
+        out += struct.pack("<3Q", gd[0], gd[1], gd[2])
+        out += struct.pack(f"<{len(grav.cells)}d", *grav.cells)
+        out += struct.pack("<Q", len(state.particles))
         pack = _PARTICLE_STRUCT.pack
-        out = writer.write_bytes
         for q in state.particles:
-            out(pack(q.id, q.material, q.x, q.y, q.z, q.mass, q.density,
-                     q.pressure, q.vx, q.vy, q.vz, q.ax, q.ay, q.az))
-        return writer.position - start
+            out += pack(q.id, q.material, q.x, q.y, q.z, q.mass, q.density,
+                        q.pressure, q.vx, q.vy, q.vz, q.ax, q.ay, q.az)
 
     def deserialize(self, reader: ByteReader) -> SimulationState:
         vals = _PARAMS_STRUCT.unpack(reader.read_bytes(_PARAMS_STRUCT.size))

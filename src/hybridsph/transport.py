@@ -1,16 +1,19 @@
 """Host/device links with simulated bandwidth and latency.
 
-A link is two channels per direction: a small-message channel (framed
-messages, latency-only delay, FIFO) and a bulk channel (opaque blobs,
-delayed by latency + size/bandwidth, one transfer in flight per direction
-at a time, full duplex across directions).
+A link is one FIFO stream of frames per direction, full duplex across
+directions. A frame is either a message (framed kind and payload, delayed
+by the latency only) or a blob (opaque bytes, delayed by latency +
+size/bandwidth, one blob in flight per direction at a time). Frames arrive
+in send order: a receiver takes a message and then, when the protocol says
+one follows, its blob; a message sent after a blob is never delivered
+before it.
 
 Two transports implement the same contract:
 
-* in-process: paired queues, payloads copied at the boundary so each side
-  owns its bytes (same isolation a DMA copy gives);
-* subprocess: a device worker process reached over two local TCP sockets,
-  a genuinely separate address space.
+* in-process: one queue per direction, payloads copied at the boundary so
+  each side owns its bytes (same isolation a DMA copy gives);
+* subprocess: a device worker process reached over one local TCP
+  connection, a genuinely separate address space.
 
 Both carry (delivery deadline, bytes) pairs: the sender stamps each send
 with the ``time.monotonic()`` instant the simulated link would deliver it,
@@ -94,7 +97,7 @@ class LinkConfig:
 
 
 def link_time(nbytes: int, config: LinkConfig) -> float:
-    """Simulated duration of one bulk transfer: latency + bytes/bandwidth."""
+    """Simulated duration of one blob transfer: latency + bytes/bandwidth."""
     return config.latency + nbytes / config.bandwidth
 
 
@@ -103,11 +106,17 @@ def encode_message(msg: Message) -> bytes:
 
 
 def decode_message(frame: bytes) -> Message:
-    kind, length = _MESSAGE_HEADER.unpack_from(frame, 0)
+    """Parse one message frame; a frame that is not a well-formed message
+    (too short, an unknown kind, a wrong length) raises TransportError."""
+    try:
+        kind, length = _MESSAGE_HEADER.unpack_from(frame, 0)
+        kind = MessageKind(kind)
+    except (struct.error, ValueError) as exc:
+        raise TransportError(f"malformed message frame: {exc}") from None
     payload = bytes(frame[_MESSAGE_HEADER.size:])
     if len(payload) != length:
         raise TransportError("message frame length mismatch")
-    return Message(MessageKind(kind), payload)
+    return Message(kind, payload)
 
 
 class TraceRecorder:
@@ -129,34 +138,33 @@ class TraceRecorder:
         return [decode_message(f).kind for f in self.frames(event)]
 
 
-# A channel carries (delivery deadline, bytes) pairs in FIFO order.
+# A stream carries (delivery deadline, bytes) frames in FIFO order.
 _Send = Callable[[float, bytes], None]
 _Receive = Callable[[Optional[float]], tuple[float, bytes]]
 
 
 class Endpoint:
-    """One side of a link: message channel plus bulk channel.
+    """One side of a link: ``send`` puts a frame on the outbound stream,
+    ``recv`` takes the next frame of the inbound one.
 
     Every send is stamped with its delivery deadline on ``time.monotonic()``
-    and handed to the channel at once; the receive that returns it sleeps
+    and handed to the stream at once; the receive that returns it sleeps
     until that deadline. Sends from several threads are serialized here, but
     a sender that needs a message and its blob to stay adjacent must hold
-    its own lock across both. Each receive side must be used by one thread
-    at a time.
+    its own lock across both. The receive side must be used by one thread
+    at a time, and must take each blob the protocol announces: frames are
+    not tagged, so a ``recv_message`` that meets a blob parses it as a
+    message frame and raises TransportError when it is not one.
     """
 
-    def __init__(self, label: str, config: LinkConfig, *,
-                 send_msg: _Send, send_blob: _Send,
-                 recv_msg: _Receive, recv_blob: _Receive,
-                 on_close: Callable[[], None],
+    def __init__(self, label: str, config: LinkConfig, *, send: _Send,
+                 recv: _Receive, on_close: Callable[[], None],
                  trace: TraceRecorder | None = None):
         self.label = label
         self.config = config
         self.trace = trace
-        self._send_msg = send_msg
-        self._send_blob = send_blob
-        self._recv_msg = recv_msg
-        self._recv_blob = recv_blob
+        self._send = send
+        self._recv = recv
         self._on_close = on_close
         self._send_lock = threading.Lock()
         self._blob_free_at = 0.0
@@ -173,16 +181,13 @@ class Endpoint:
             if self.trace is not None:
                 self.trace.record("send_msg", frame)
             self.bytes_sent += len(frame)
-            self._send_msg(time.monotonic() + self.config.latency, frame)
+            self._send(time.monotonic() + self.config.latency, frame)
 
     def recv_message(self, timeout: float | None = None) -> Message:
-        frame = self._arrive(self._recv_msg, timeout)
-        if self.trace is not None:
-            self.trace.record("recv_msg", frame)
-        return decode_message(frame)
+        return decode_message(self._arrive("recv_msg", timeout))
 
     def send_blob(self, data) -> None:
-        """Hand ``data`` to the bulk channel; returns once the bytes are
+        """Hand ``data`` to the stream; returns once the bytes are
         handed off, so the caller may reuse ``data`` at once.
 
         The transfer is delivered ``link_time`` after the previous blob in
@@ -197,20 +202,19 @@ class Endpoint:
             start = now if now > self._blob_free_at else self._blob_free_at
             self._blob_free_at = start + link_time(len(data), self.config)
             self.bytes_sent += len(data)
-            self._send_blob(self._blob_free_at, data)
+            self._send(self._blob_free_at, data)
 
-    def recv_blob(self, timeout: float | None = None) -> bytes:
-        blob = self._arrive(self._recv_blob, timeout)
-        if self.trace is not None:
-            self.trace.record("recv_blob", blob)
-        return blob
+    def recv_blob(self) -> bytes:
+        return self._arrive("recv_blob", None)
 
-    def _arrive(self, recv: _Receive, timeout: float | None) -> bytes:
-        deadline, data = recv(timeout)
+    def _arrive(self, event: str, timeout: float | None) -> bytes:
+        deadline, data = self._recv(timeout)
         self.bytes_received += len(data)
         delay = deadline - time.monotonic()
         if delay > 0:
             time.sleep(delay)
+        if self.trace is not None:
+            self.trace.record(event, data)
         return data
 
     def close(self) -> None:
@@ -241,34 +245,25 @@ def _queue_receiver(q: queue.SimpleQueue) -> _Receive:
 def create_endpoint_pair(config: LinkConfig,
                          host_trace: TraceRecorder | None = None
                          ) -> tuple[Endpoint, Endpoint]:
-    """In-process link: two live endpoints over four queues. Blobs are
-    copied at the boundary so each side owns its bytes (the isolation a DMA
-    copy gives)."""
-    to_device_msgs, to_device_blobs, to_host_msgs, to_host_blobs = (
-        queue.SimpleQueue() for _ in range(4))
+    """In-process link: two live endpoints over one queue per direction.
+    Frames are copied at the boundary so each side owns its bytes (the
+    isolation a DMA copy gives)."""
+    to_device, to_host = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def make_side(label: str, out_msgs: queue.SimpleQueue,
-                  out_blobs: queue.SimpleQueue, in_msgs: queue.SimpleQueue,
-                  in_blobs: queue.SimpleQueue,
+    def make_side(label: str, outbox: queue.SimpleQueue,
+                  inbox: queue.SimpleQueue,
                   trace: TraceRecorder | None) -> Endpoint:
         def on_close():
-            for q in (out_msgs, out_blobs, in_msgs, in_blobs):
-                q.put(_CLOSED)
+            outbox.put(_CLOSED)
+            inbox.put(_CLOSED)
 
         return Endpoint(
             label, config,
-            send_msg=lambda deadline, frame: out_msgs.put((deadline, frame)),
-            send_blob=lambda deadline, data: out_blobs.put(
-                (deadline, bytes(data))),
-            recv_msg=_queue_receiver(in_msgs),
-            recv_blob=_queue_receiver(in_blobs),
-            on_close=on_close, trace=trace)
+            send=lambda deadline, data: outbox.put((deadline, bytes(data))),
+            recv=_queue_receiver(inbox), on_close=on_close, trace=trace)
 
-    host = make_side("host", to_device_msgs, to_device_blobs,
-                     to_host_msgs, to_host_blobs, host_trace)
-    device = make_side("device", to_host_msgs, to_host_blobs,
-                       to_device_msgs, to_device_blobs, None)
-    return host, device
+    return (make_side("host", to_device, to_host, host_trace),
+            make_side("device", to_host, to_device, None))
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +315,20 @@ def _socket_receiver(sock: socket.socket) -> _Receive:
     return recv
 
 
-def socket_endpoint(label: str, msg_sock: socket.socket,
-                    bulk_sock: socket.socket, config: LinkConfig,
+def socket_endpoint(label: str, sock: socket.socket, config: LinkConfig,
                     trace: TraceRecorder | None = None) -> Endpoint:
-    """Wrap a (message, bulk) socket pair in the endpoint contract."""
+    """Wrap a connected stream socket in the endpoint contract."""
 
     def on_close():
-        for s in (msg_sock, bulk_sock):
-            try:
-                s.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            s.close()
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        sock.close()
 
-    return Endpoint(label, config,
-                    send_msg=_socket_sender(msg_sock),
-                    send_blob=_socket_sender(bulk_sock),
-                    recv_msg=_socket_receiver(msg_sock),
-                    recv_blob=_socket_receiver(bulk_sock),
-                    on_close=on_close, trace=trace)
+    return Endpoint(label, config, send=_socket_sender(sock),
+                    recv=_socket_receiver(sock), on_close=on_close,
+                    trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +389,26 @@ def parse_host_hello(msg: Message) -> LinkConfig:
     return LinkConfig(bandwidth=bandwidth, latency=latency)
 
 
-def _accept_channels(listener: socket.socket, proc: subprocess.Popen,
-                     timeout: float) -> dict[bytes, socket.socket]:
-    """Accept the worker's two tagged sockets, polling the worker meanwhile
-    so one that exits at startup fails at once with its exit code."""
+def _accept(listener: socket.socket, proc: subprocess.Popen,
+            timeout: float) -> socket.socket:
+    """Accept the worker's connection, polling the worker meanwhile so one
+    that exits at startup fails at once with its exit code."""
     deadline = time.monotonic() + timeout
     listener.settimeout(_ACCEPT_POLL)
-    conns: list[socket.socket] = []
-    try:
-        while len(conns) < 2:
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                code = proc.poll()
-                if code is not None:
-                    raise SpawnError(f"device worker exited with code {code} "
-                                     "before connecting") from None
-                if time.monotonic() >= deadline:
-                    raise HandshakeTimeoutError(
-                        "device worker did not connect in time") from None
-                continue
-            conns.append(conn)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        socks = {_read_exact(conn, 1): conn for conn in conns}
-        if set(socks) != {b"M", b"B"}:
-            raise TransportError("device worker sent bad channel tags")
-        return socks
-    except BaseException:
-        for conn in conns:
-            conn.close()
-        raise
+    while True:
+        try:
+            conn, _addr = listener.accept()
+        except socket.timeout:
+            code = proc.poll()
+            if code is not None:
+                raise SpawnError(f"device worker exited with code {code} "
+                                 "before connecting") from None
+            if time.monotonic() >= deadline:
+                raise HandshakeTimeoutError(
+                    "device worker did not connect in time") from None
+            continue
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn
 
 
 def connect(config: LinkConfig, worker_count: int, *,
@@ -439,9 +419,8 @@ def connect(config: LinkConfig, worker_count: int, *,
     """Bring up one device and exchange HELLOs.
 
     In-process: spawns the device master loop on a thread. Subprocess:
-    launches the device worker executable and meets it on two local
-    sockets (message channel first, bulk channel second, each announced by
-    a one-byte tag). A worker that exits before connecting raises
+    launches the device worker executable and accepts its one local
+    connection. A worker that exits before connecting raises
     ``SpawnError`` with its exit code; on every failure the worker is
     killed and reaped.
     """
@@ -468,7 +447,7 @@ def connect(config: LinkConfig, worker_count: int, *,
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind(("127.0.0.1", 0))
-    listener.listen(2)
+    listener.listen(1)
     port = listener.getsockname()[1]
     cmd = worker_command or [sys.executable, "-m", "hybridsph.device_worker",
                              "--connect", f"127.0.0.1:{port}",
@@ -480,9 +459,8 @@ def connect(config: LinkConfig, worker_count: int, *,
         raise SpawnError(f"cannot launch device worker: {exc}") from exc
 
     try:
-        socks = _accept_channels(listener, proc, handshake_timeout)
-        endpoint = socket_endpoint("host", socks[b"M"], socks[b"B"], config,
-                                   trace)
+        endpoint = socket_endpoint(
+            "host", _accept(listener, proc, handshake_timeout), config, trace)
         try:
             workers = _host_handshake(endpoint, config, handshake_timeout)
         except BaseException:

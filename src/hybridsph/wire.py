@@ -7,15 +7,17 @@ emitted inside a value.
 
 A codec is any object with two methods:
 
-    serialize(value, writer) -> int   # bytes emitted
-    deserialize(reader) -> value
+    serialize(value, out: bytearray) -> None   # appends the value's bytes
+    deserialize(reader: ByteReader) -> value
 
-``deserialize(serialize(v))`` must reproduce ``v`` bitwise (including NaN
-payloads and signed zeros). ``RecordCodec`` is how value functors declare
-their wire layout: one ``struct`` format over a dataclass's fields.
+``deserialize`` of what ``serialize`` appended must reproduce the value
+bitwise (including NaN payloads and signed zeros). ``RecordCodec`` is how
+value functors declare their wire layout: one ``struct`` format over a
+dataclass's fields. Reads go through ``ByteReader``, whose bounds checks
+guard bytes that came from the other process.
 
-Writers append to a growable ``bytearray``. How items are framed into
-blocks is ``runtime``'s business (``encode_block`` / ``decode_block``).
+How items are framed into blocks is ``runtime``'s business
+(``encode_block`` / ``decode_block``).
 """
 
 from __future__ import annotations
@@ -32,34 +34,11 @@ class TruncatedInputError(Exception):
     """Read past the end of the source region."""
 
 
-class ByteWriter:
-    """Append-only cursor over a growable byte region.
-
-    A writer must not be used from two concurrent contexts.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytearray | None = None):
-        self.data = bytearray() if data is None else data
-
-    @property
-    def position(self) -> int:
-        return len(self.data)
-
-    def write_bytes(self, b: bytes | bytearray | memoryview) -> int:
-        self.data += b
-        return len(b)
-
-    def write_u32(self, v: int) -> int:
-        return self.write_bytes(_U32.pack(v))
-
-    def write_u64(self, v: int) -> int:
-        return self.write_bytes(_U64.pack(v))
-
-    def write_str(self, s: str) -> int:
-        raw = s.encode("utf-8")
-        return self.write_u32(len(raw)) + self.write_bytes(raw)
+def encode_str(s: str) -> bytes:
+    """A u32 byte count, then the UTF-8 bytes; ``ByteReader.read_str``
+    reads it back."""
+    raw = s.encode("utf-8")
+    return _U32.pack(len(raw)) + raw
 
 
 class ByteReader:
@@ -107,7 +86,7 @@ class ByteReader:
 
 
 class Codec(Protocol):
-    def serialize(self, value: Any, writer: ByteWriter) -> int: ...
+    def serialize(self, value: Any, out: bytearray) -> None: ...
 
     def deserialize(self, reader: ByteReader) -> Any: ...
 
@@ -120,8 +99,8 @@ class StructCodec:
     def __init__(self, fmt: str):
         self._struct = struct.Struct(fmt)
 
-    def serialize(self, value: Any, writer: ByteWriter) -> int:
-        return writer.write_bytes(self._struct.pack(value))
+    def serialize(self, value: Any, out: bytearray) -> None:
+        out += self._struct.pack(value)
 
     def deserialize(self, reader: ByteReader) -> Any:
         return self._struct.unpack(reader.read_bytes(self._struct.size))[0]
@@ -137,9 +116,8 @@ class RecordCodec:
         self._struct = struct.Struct(fmt)
         self._cls = cls
 
-    def serialize(self, value: Any, writer: ByteWriter) -> int:
-        return writer.write_bytes(
-            self._struct.pack(*dataclasses.astuple(value)))
+    def serialize(self, value: Any, out: bytearray) -> None:
+        out += self._struct.pack(*dataclasses.astuple(value))
 
     def deserialize(self, reader: ByteReader) -> Any:
         return self._cls(*self._struct.unpack(
@@ -183,10 +161,9 @@ def functor_codec(name: str) -> Codec:
 
 def encode_functor(functor: Any) -> bytes:
     """Serialize a registered functor to its wire bytes (name not included)."""
-    codec = functor_codec(functor.wire_name)
-    w = ByteWriter()
-    codec.serialize(functor, w)
-    return bytes(w.data)
+    out = bytearray()
+    functor_codec(functor.wire_name).serialize(functor, out)
+    return bytes(out)
 
 
 def decode_functor(name: str, payload: bytes | memoryview) -> Any:

@@ -24,7 +24,7 @@ from hybridsph.sph import (Particle, SimParams, SimulationState, kernel_dw,
                            phase1_prepare, phase2_density_gravity,
                            phase3_pressure, simulation_step)
 from hybridsph.transport import LinkConfig, TraceRecorder
-from hybridsph.wire import ByteReader, ByteWriter
+from hybridsph.wire import ByteReader
 
 from conftest import (brute_density, brute_field, brute_neighbors,
                       brute_pressure_accel, particle_bits, rel_err)
@@ -388,24 +388,24 @@ def test_criterion_09_serialization_fuzz():
             return rng.choice([0.0, -0.0])
         return rng.gauss(0.0, 1.0)
 
-    w = ByteWriter()
+    out = bytearray()
     for i in range(100_000):
         p = Particle(rng.getrandbits(64), rng.getrandbits(32),
                      *(wild_float() for _ in range(12)))
-        del w.data[:]
-        emitted = PARTICLE_CODEC.serialize(p, w)
-        assert emitted == len(w.data) == 108
-        q = PARTICLE_CODEC.deserialize(ByteReader(w.data))
+        del out[:]
+        PARTICLE_CODEC.serialize(p, out)
+        assert len(out) == 108
+        q = PARTICLE_CODEC.deserialize(ByteReader(out))
         assert particle_bits(q) == particle_bits(p), f"case {i}"
 
     # golden layout byte-string stays stable
     gold = Particle(id=7, material=2, x=1.5, y=-2.25, z=0.125, mass=3.0,
                     density=0.75, pressure=1.25, vx=-0.5, vy=4.0, vz=-8.0,
                     ax=0.0625, ay=-1.0, az=2.5)
-    w2 = ByteWriter()
-    PARTICLE_CODEC.serialize(gold, w2)
+    out = bytearray()
+    PARTICLE_CODEC.serialize(gold, out)
     # digest of the 108-byte record whose full hex is pinned in test_wire
-    assert hashlib.sha256(bytes(w2.data)).hexdigest() == (
+    assert hashlib.sha256(out).hexdigest() == (
         "4b74d59f9f8beb108d230c9cbf12e4c90342ac78f967af72e940cbc52f1da2b1")
     report(9, "100k randomized round-trips bitwise exact; golden layout "
               "stable")

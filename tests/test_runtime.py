@@ -280,8 +280,11 @@ class TestHybridForEach:
 def _scripted_peer(ep, mode: str) -> None:
     """Device stand-in: answers work block 0, then misbehaves.
 
-    ``"close"`` returns block 0 intact and closes the link; ``"truncated"``
-    returns block 0 cut short by four bytes and waits for the host to close.
+    ``"close"`` returns block 0 intact and closes the link. The other modes
+    send one bad reply and then read work blocks until the host closes:
+    ``"truncated"`` returns block 0 cut short by four bytes,
+    ``"short-announcement"`` a RESULT_BLOCK whose payload is 4 bytes, and
+    ``"unknown-kind"`` a message of kind 9.
     """
     try:
         ep.recv_message()  # FUNCTOR_STATE: the wire name ...
@@ -290,13 +293,20 @@ def _scripted_peer(ep, mode: str) -> None:
         _, items = decode_block(ep.recv_blob(), I64_CODEC)
         data = bytes(encode_block(bid, [(i, v + 1) for i, v in items],
                                   I64_CODEC))
-        if mode == "truncated":
-            data = data[:-4]
-        ep.send_message(Message(MessageKind.RESULT_BLOCK,
-                                runtime.WORK_BLOCK_MSG.pack(bid, len(data))))
-        ep.send_blob(data)
-        while mode == "truncated":
-            ep.recv_message()
+        if mode == "short-announcement":
+            ep.send_message(Message(MessageKind.RESULT_BLOCK, b"\0" * 4))
+        elif mode == "unknown-kind":
+            ep.send_message(Message(9, b""))
+        else:
+            if mode == "truncated":
+                data = data[:-4]
+            ep.send_message(Message(
+                MessageKind.RESULT_BLOCK,
+                runtime.WORK_BLOCK_MSG.pack(bid, len(data))))
+            ep.send_blob(data)
+        while mode != "close":
+            if ep.recv_message().kind == MessageKind.WORK_BLOCK:
+                ep.recv_blob()
     except PeerClosedError:
         pass
     finally:
@@ -304,7 +314,8 @@ def _scripted_peer(ep, mode: str) -> None:
 
 
 class TestDeviceLoss:
-    @pytest.mark.parametrize("mode", ["close", "truncated"])
+    @pytest.mark.parametrize("mode", ["close", "truncated",
+                                      "short-announcement", "unknown-kind"])
     def test_scripted_peer_fault_keeps_exactly_once(self, mode):
         # A lost or malformed device must leave every item applied exactly
         # once: stranded indices go back to the queue, and a bad result
@@ -312,7 +323,9 @@ class TestDeviceLoss:
         # timing-dependent, so it is tried many times. The loss keeps its
         # reason.
         reason = {"close": "PeerClosedError: peer closed the link",
-                  "truncated": "malformed result block 0"}[mode]
+                  "truncated": "malformed result block 0",
+                  "short-announcement": "malformed result announcement",
+                  "unknown-kind": "9 is not a valid MessageKind"}[mode]
         for trial in range(60):
             cfg = LinkConfig()
             host_ep, dev_ep = create_endpoint_pair(cfg)

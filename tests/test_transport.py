@@ -1,16 +1,19 @@
 """Link contract: timing model, FIFO, handshake, faults, transport parity."""
 
+import hashlib
 import socket
 import sys
 import time
 
 import pytest
 
-from hybridsph.functors import AffineAction
+from hybridsph.functors import AffineAction, DensityGravityAction
 from hybridsph.runtime import DeviceSpec, connect_device, hybrid_for_each
+from hybridsph.sph import make_scene, phase1_prepare
 from hybridsph.transport import (HandshakeTimeoutError, LinkConfig, Message,
                                  MessageKind, PeerClosedError, SpawnError,
-                                 TraceRecorder, VersionMismatchError, connect,
+                                 TraceRecorder, TransportError,
+                                 VersionMismatchError, connect,
                                  create_endpoint_pair, decode_message,
                                  encode_message, link_time, socket_endpoint)
 
@@ -51,6 +54,14 @@ class TestMessageCodec:
         frame = encode_message(Message(MessageKind.SHUTDOWN, b"ab"))
         # kind u32 | length u64 | payload, little-endian
         assert frame == b"\x05\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00ab"
+
+    @pytest.mark.parametrize("frame", [
+        b"\x05\x00\x00", encode_message(Message(9, b"")),
+        encode_message(Message(MessageKind.SHUTDOWN, b"ab"))[:-1],
+    ], ids=["short-header", "unknown-kind", "short-payload"])
+    def test_malformed_frame_is_transport_error(self, frame):
+        with pytest.raises(TransportError):
+            decode_message(frame)
 
 
 class TestInProcessPair:
@@ -133,6 +144,26 @@ class TestInProcessPair:
             host.close()
             dev.close()
 
+    def test_stream_keeps_send_order(self):
+        # One stream per direction: a message sent after a blob is received
+        # after it, never before the blob's link time, and a recv_message
+        # that meets a blob is an error rather than a skip.
+        cfg = LinkConfig(bandwidth=100_000.0, latency=0.001)
+        host, dev = self.pair(cfg)
+        try:
+            t0 = time.perf_counter()
+            host.send_blob(b"a" * 5000)
+            host.send_message(Message(MessageKind.SHUTDOWN))
+            assert dev.recv_blob() == b"a" * 5000
+            assert dev.recv_message().kind == MessageKind.SHUTDOWN
+            assert time.perf_counter() - t0 >= link_time(5000, cfg)
+            host.send_blob(b"x" * 1000)
+            with pytest.raises(TransportError):
+                dev.recv_message()
+        finally:
+            host.close()
+            dev.close()
+
     def test_recv_after_peer_close_reports_peer_closed(self):
         host, dev = self.pair(LinkConfig())
         host.send_message(Message(MessageKind.SHUTDOWN))
@@ -157,10 +188,9 @@ class TestInProcessPair:
 
 class TestSocketPair(TestInProcessPair):
     def pair(self, config):
-        msg_host, msg_dev = socket.socketpair()
-        bulk_host, bulk_dev = socket.socketpair()
-        return (socket_endpoint("host", msg_host, bulk_host, config),
-                socket_endpoint("device", msg_dev, bulk_dev, config))
+        host, dev = socket.socketpair()
+        return (socket_endpoint("host", host, config),
+                socket_endpoint("device", dev, config))
 
 
 class TestConnect:
@@ -235,3 +265,27 @@ class TestTransportEquivalence:
         assert kinds[0] == MessageKind.HELLO
         assert kinds[1] == MessageKind.FUNCTOR_STATE
         assert kinds[-2:] == [MessageKind.WORK_BLOCK, MessageKind.SHUTDOWN]
+
+
+# SHA-256 over every endpoint event of the golden schedule (in-process, then
+# subprocess) and of a 300-particle phase-2 call; pins each wire byte.
+GOLDEN_WIRE_SHA256 = (
+    "a8a6a9906c6b5950de0c45f3ef69b877fad1f8852af04a03341304fedbf5137a")
+
+
+def test_golden_wire_digest():
+    traces = [_golden_trace("in-process"), _golden_trace("subprocess")]
+    state = make_scene(300, seed=3)
+    phase1_prepare(state)
+    traces.append(TraceRecorder())
+    dev = connect_device(DeviceSpec(worker_count=1, link=LinkConfig()), 0,
+                         trace=traces[-1])
+    stats = hybrid_for_each(state.particles, DensityGravityAction(state),
+                            [dev], host_workers=0)
+    assert stats.device_items == 300
+    digest = hashlib.sha256()
+    for trace in traces:
+        for name, data in trace.events:
+            digest.update(name.encode() + len(data).to_bytes(8, "little")
+                          + data)
+    assert digest.hexdigest() == GOLDEN_WIRE_SHA256

@@ -1,4 +1,4 @@
-"""Wire format: writers, readers, codecs, layout stability."""
+"""Wire format: readers, codecs, layout stability."""
 
 import math
 import struct
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hybridsph import sph
 from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
 from hybridsph.sph import PARTICLE_CODEC, PARTICLE_WIRE_SIZE, Particle
-from hybridsph.wire import (ByteReader, ByteWriter, TruncatedInputError,
-                            decode_functor, encode_functor)
+from hybridsph.wire import (ByteReader, TruncatedInputError, decode_functor,
+                            encode_functor, encode_str)
 
 from conftest import particle_bits
 
@@ -27,27 +27,16 @@ def sample_particle() -> Particle:
                     ax=0.0625, ay=-1.0, az=2.5)
 
 
-class TestByteWriter:
-    def test_growable_appends_and_tracks_position(self):
-        w = ByteWriter()
-        assert w.position == 0
-        w.write_u32(1)
-        w.write_u64(2)
-        assert w.position == 12
-
-    def test_written_bytes_visible_to_reader(self):
-        w = ByteWriter()
-        w.write_u64(2**63 + 5)
-        w.write_u32(2**32 - 7)
-        w.write_str("nebula")
-        r = ByteReader(bytes(w.data))
+class TestByteReader:
+    def test_reads_packed_values_and_encoded_str(self):
+        data = struct.pack("<QI", 2**63 + 5, 2**32 - 7) + encode_str("nebula")
+        assert data[12:] == b"\x06\x00\x00\x00nebula"
+        r = ByteReader(data)
         assert r.read_u64() == 2**63 + 5
         assert r.read_u32() == 2**32 - 7
         assert r.read_str() == "nebula"
         assert r.remaining == 0
 
-
-class TestByteReader:
     def test_read_past_end_is_error(self):
         r = ByteReader(b"\x01\x02")
         with pytest.raises(TruncatedInputError):
@@ -66,22 +55,22 @@ class TestParticleLayout:
         assert sum(LAYOUT_WIDTHS) == PARTICLE_WIRE_SIZE == 108
 
     def test_serialize_emits_exactly_size_bytes(self):
-        w = ByteWriter()
-        n = PARTICLE_CODEC.serialize(sample_particle(), w)
-        assert n == 108
-        assert w.position == 108
+        out = bytearray(b"head")
+        PARTICLE_CODEC.serialize(sample_particle(), out)
+        assert len(out) == 4 + 108
+        assert out[:4] == b"head"  # appends, never rewrites
 
     def test_golden_bytes(self):
         # Layout stability: frozen byte string for a fixed record. Changing
         # the layout breaks devices, so this must never drift.
-        w = ByteWriter()
-        PARTICLE_CODEC.serialize(sample_particle(), w)
+        out = bytearray()
+        PARTICLE_CODEC.serialize(sample_particle(), out)
         expected = (
             struct.pack("<Q", 7) + struct.pack("<I", 2)
             + struct.pack("<12d", 1.5, -2.25, 0.125, 3.0, 0.75, 1.25,
                           -0.5, 4.0, -8.0, 0.0625, -1.0, 2.5))
-        assert bytes(w.data) == expected
-        assert bytes(w.data).hex() == (
+        assert out == expected
+        assert out.hex() == (
             "0700000000000000" "02000000"
             "000000000000f83f" "00000000000002c0" "000000000000c03f"
             "0000000000000840" "000000000000e83f" "000000000000f43f"
@@ -89,17 +78,17 @@ class TestParticleLayout:
             "000000000000b03f" "000000000000f0bf" "0000000000000440")
 
     def test_roundtrip_cursor_positions(self):
-        w = ByteWriter()
-        PARTICLE_CODEC.serialize(sample_particle(), w)
-        r = ByteReader(bytes(w.data))
+        out = bytearray()
+        PARTICLE_CODEC.serialize(sample_particle(), out)
+        r = ByteReader(bytes(out))
         q = PARTICLE_CODEC.deserialize(r)
         assert r.pos == 108
         assert particle_bits(q) == particle_bits(sample_particle())
 
     def test_truncated_record_is_error(self):
-        w = ByteWriter()
-        PARTICLE_CODEC.serialize(sample_particle(), w)
-        r = ByteReader(bytes(w.data)[:100])
+        out = bytearray()
+        PARTICLE_CODEC.serialize(sample_particle(), out)
+        r = ByteReader(bytes(out)[:100])
         with pytest.raises(TruncatedInputError):
             PARTICLE_CODEC.deserialize(r)
 
@@ -115,10 +104,10 @@ finite_or_weird = st.floats(allow_nan=True, allow_infinity=True, width=64)
 @settings(max_examples=300, deadline=None)
 def test_particle_roundtrip_bitwise(pid, material, fields):
     p = Particle(pid, material, *fields)
-    w = ByteWriter()
-    n = PARTICLE_CODEC.serialize(p, w)
-    assert n == len(w.data) == 108
-    q = PARTICLE_CODEC.deserialize(ByteReader(bytes(w.data)))
+    out = bytearray()
+    PARTICLE_CODEC.serialize(p, out)
+    assert len(out) == 108
+    q = PARTICLE_CODEC.deserialize(ByteReader(bytes(out)))
     assert particle_bits(q) == particle_bits(p)
 
 
@@ -128,43 +117,43 @@ def test_special_float_values_roundtrip():
     for v in specials:
         p = sample_particle()
         p.x = v
-        w = ByteWriter()
-        PARTICLE_CODEC.serialize(p, w)
-        q = PARTICLE_CODEC.deserialize(ByteReader(bytes(w.data)))
+        out = bytearray()
+        PARTICLE_CODEC.serialize(p, out)
+        q = PARTICLE_CODEC.deserialize(ByteReader(bytes(out)))
         assert particle_bits(q) == particle_bits(p)
 
 
 class EmptyCodec:
     """Zero-field payload: serializes to nothing."""
 
-    def serialize(self, value, writer):
-        return 0
+    def serialize(self, value, out):
+        pass
 
     def deserialize(self, reader):
         return ()
 
 
 def test_empty_payload_emits_zero_bytes():
-    w = ByteWriter()
-    assert EmptyCodec().serialize((), w) == 0
-    assert w.position == 0
+    out = bytearray()
+    EmptyCodec().serialize((), out)
+    assert len(out) == 0
 
 
 class PairCodec:
     """Two 4-byte fields; must cost exactly 8 bytes on the wire."""
 
-    def serialize(self, value, writer):
-        return writer.write_u32(value[0]) + writer.write_u32(value[1])
+    def serialize(self, value, out):
+        out += struct.pack("<II", *value)
 
     def deserialize(self, reader):
         return (reader.read_u32(), reader.read_u32())
 
 
 def test_no_framing_overhead_inside_a_value():
-    w = ByteWriter()
-    assert PairCodec().serialize((3, 4), w) == 8
-    assert w.position == 8
-    assert PairCodec().deserialize(ByteReader(bytes(w.data))) == (3, 4)
+    out = bytearray()
+    PairCodec().serialize((3, 4), out)
+    assert len(out) == 8
+    assert PairCodec().deserialize(ByteReader(bytes(out))) == (3, 4)
 
 
 # Value functor blobs: the fields in declaration order, packed with no
@@ -183,14 +172,14 @@ def test_value_functor_wire_layout(functor, hex_bytes):
 def test_state_codec_size_matches_emitted_bytes():
     state = sph.make_scene(37, sph.SimParams(gravity_dims=(4, 4, 4)), seed=3)
     sph.phase1_prepare(state)
-    w = ByteWriter()
-    n = sph.SIM_STATE_CODEC.serialize(state, w)
+    out = bytearray()
+    sph.SIM_STATE_CODEC.serialize(state, out)
     # Tallied from the layout: 14 param fields of 8 bytes, the gravity dims
     # (3 u64) and 3 f64 per gravity cell, the particle count (u64), then
     # one record per particle.
     expected = 14 * 8 + 3 * 8 + 3 * 8 * 4 ** 3 + 8 + 108 * 37
-    assert n == len(w.data) == expected
-    back = sph.SIM_STATE_CODEC.deserialize(ByteReader(bytes(w.data)))
+    assert len(out) == expected
+    back = sph.SIM_STATE_CODEC.deserialize(ByteReader(bytes(out)))
     assert particle_bits(back.particles[5]) == particle_bits(state.particles[5])
     assert back.gravity.cells == state.gravity.cells
     # the receiving side rebuilds identical chains
@@ -201,8 +190,5 @@ def test_state_codec_size_matches_emitted_bytes():
 @given(st.binary(max_size=64))
 @settings(max_examples=100, deadline=None)
 def test_writer_reader_raw_bytes_roundtrip(blob):
-    w = ByteWriter()
-    w.write_u32(len(blob))
-    w.write_bytes(blob)
-    r = ByteReader(bytes(w.data))
+    r = ByteReader(struct.pack("<I", len(blob)) + blob)
     assert r.read_bytes(r.read_u32()) == blob
