@@ -194,14 +194,11 @@ def parse_config(argv: list[str]) -> RunConfig:
                     raise ValueError("gravity_dims needs 3 values")
                 scene["gravity_dims"] = dims
             elif key == "device_workers":
-                cfg.device_workers = (_parse_int_list(value)
-                                      if isinstance(value, str) else value)
+                cfg.device_workers = _parse_int_list(value)
             elif key == "resolution":
-                cfg.resolution = (_parse_pair(value)
-                                  if isinstance(value, str) else value)
+                cfg.resolution = _parse_pair(value)
             elif key == "sweep":
-                cfg.sweep = (_parse_int_list(value)
-                             if isinstance(value, str) else value)
+                cfg.sweep = _parse_int_list(value)
             elif key == "out":
                 cfg.out = Path(value)
             elif key == "pipeline":

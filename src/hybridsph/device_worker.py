@@ -1,16 +1,18 @@
 """Device-side execution: the master loop and its worker threads.
 
-A device serves one ``hybrid_for_each`` call. The master thread owns the
-endpoint's receive side: it rebuilds the functor from FUNCTOR_STATE (the
-wire name) and the state blob that follows, starts the requested number of
-workers, decodes each WORK_BLOCK whole with ``runtime.decode_block`` and
-puts one ``(block, position)`` task per item on a single queue. The workers
-run the same take-and-apply loop as the host's: whoever applies a block's
-last item encodes the block's results in block order with
+A device serves one ``hybrid_for_each`` call; it is spawned with its link
+parameters, and its one HELLO carries only the protocol version. The master
+thread owns the endpoint's receive side: it rebuilds the functor from
+FUNCTOR_STATE (the wire name) and the state blob that follows, starts the
+requested number of workers, decodes each WORK_BLOCK whole with
+``runtime.decode_block`` and puts one ``(block, position)`` task per item on
+a single queue (items carry no index; the host keeps those). The workers
+run the same take-and-apply loop as the host's, each result over its item:
+whoever applies a block's last item encodes the results in block order with
 ``runtime.encode_block`` and sends RESULT_BLOCK and then its blob, which a
-lock keeps adjacent on the one outbound stream. Blocks therefore return
-whole, possibly out of order, and their bytes do not depend on the order in
-which items complete.
+lock keeps adjacent on the one outbound stream. Blocks return whole,
+possibly out of order, and their bytes do not depend on the order in which
+items complete.
 
 SHUTDOWN from the host ends the call. An apply or a result encode that
 raises, or a message the protocol does not allow, is answered with SHUTDOWN
@@ -19,8 +21,9 @@ its items.
 
 Runs identically as a thread (in-process transport) or as the main loop of
 the worker executable (subprocess transport, ``python -m
-hybridsph.device_worker --connect <host:port> --workers <n>``), which makes
-one TCP connection to the host and carries the whole link over it.
+hybridsph.device_worker --connect <host:port> --workers <n> --bandwidth <B/s>
+--latency <s>``), which makes one TCP connection to the host and carries the
+whole link over it.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ from . import functors  # noqa: F401  (registers the standard functor codecs)
 from . import transport
 from .runtime import WORK_BLOCK_MSG, decode_block, encode_block
 from .transport import (Endpoint, LinkConfig, Message, MessageKind,
-                        TransportError, parse_host_hello)
+                        TransportError)
 from .wire import ByteReader, decode_functor
 
 
 class _Block:
-    """One work block: its (index, item) pairs, which the workers overwrite
-    with results, and the count of items not yet applied."""
+    """One work block: its items, which the workers overwrite with results,
+    and the count of items not yet applied."""
 
     __slots__ = ("block_id", "items", "pending")
 
@@ -69,12 +72,12 @@ def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
     item_codec = functor.item_codec
     while (task := tasks.get()) is not None:
         block, pos = task
-        idx, item = block.items[pos]
         try:
-            block.items[pos] = (idx, apply(item))
+            block.items[pos] = apply(block.items[pos])
         except Exception as exc:
             _report_failure(endpoint, lock,
-                            f"item {idx}: {type(exc).__name__}: {exc}")
+                            f"block {block.block_id} item {pos}: "
+                            f"{type(exc).__name__}: {exc}")
             return
         with lock:
             block.pending -= 1
@@ -85,7 +88,7 @@ def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
             with lock:
                 endpoint.send_message(Message(
                     MessageKind.RESULT_BLOCK,
-                    WORK_BLOCK_MSG.pack(block.block_id, len(out))))
+                    WORK_BLOCK_MSG.pack(block.block_id)))
                 endpoint.send_blob(out)
         except TransportError:
             return  # the host is gone
@@ -114,13 +117,9 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:
                 for w in workers:
                     w.start()
             elif msg.kind == MessageKind.WORK_BLOCK:
-                block_id, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
                 blob = endpoint.recv_blob()
-                if functor is None or len(blob) != nbytes:
-                    raise ValueError(
-                        f"work block {block_id}: "
-                        + ("no functor installed" if functor is None
-                           else f"expected {nbytes} bytes, got {len(blob)}"))
+                if functor is None:
+                    raise ValueError("work block: no functor installed")
                 block = _Block(*decode_block(blob, functor.item_codec))
                 for pos in range(len(block.items)):
                     tasks.put((block, pos))
@@ -140,12 +139,9 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:
 
 def serve(endpoint: Endpoint, worker_count: int,
           protocol_version: int = transport.PROTOCOL_VERSION) -> None:
-    """HELLO, then the loop. The host's HELLO carries the link parameters
-    this side sends with from then on."""
+    """HELLO, then the loop."""
     try:
-        endpoint.send_message(transport.device_hello(worker_count,
-                                                     protocol_version))
-        endpoint.config = parse_host_hello(endpoint.recv_message(timeout=60.0))
+        endpoint.send_message(transport.device_hello(protocol_version))
     except TransportError:
         endpoint.close()
         return
@@ -158,16 +154,16 @@ def main(argv: list[str] | None = None) -> int:
         description="Device-side worker process; launched by the host.")
     parser.add_argument("--connect", required=True, metavar="HOST:PORT")
     parser.add_argument("--workers", required=True, type=int)
+    parser.add_argument("--bandwidth", required=True, type=float)
+    parser.add_argument("--latency", required=True, type=float)
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
     sock = socket.create_connection((host, int(port)), timeout=60.0)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(None)
 
-    # The link parameters arrive in the host's HELLO reply; until then this
-    # side sends with zero simulated latency.
-    endpoint = transport.socket_endpoint("device", sock,
-                                         LinkConfig(latency=0.0))
+    endpoint = transport.socket_endpoint("device", sock, LinkConfig(
+        bandwidth=args.bandwidth, latency=args.latency, kind="subprocess"))
     serve(endpoint, args.workers)
     return 0
 

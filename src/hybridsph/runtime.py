@@ -6,8 +6,9 @@ one call: it gets the functor (plus shared state) once and then a stream of
 item blocks, batched to its worker count and shipped as single bulk
 transfers, with double buffering so the device rarely starves. One
 controller thread per device packs each block, sends it, waits for the
-result block and scatters it back into the sequence by item index, so
-completion order never affects the outcome. A device is the
+result block and scatters it back to the indices it kept for that block
+(indices never cross the link), so completion order never affects the
+outcome. A device is the
 ``transport.DeviceHandle`` that ``connect_device`` or ``connect_devices``
 returns; the call it is passed to closes it on every path.
 
@@ -29,7 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections import deque
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import transport
 from .transport import (DeviceHandle, LinkConfig, Message, MessageKind,
@@ -37,8 +38,7 @@ from .transport import (DeviceHandle, LinkConfig, Message, MessageKind,
 from .wire import ByteReader, Codec, encode_functor, encode_str
 
 BLOCK_HEADER = struct.Struct("<QI")      # block_id u64, item_count u32
-_ITEM_INDEX = struct.Struct("<Q")        # sequence index before each item
-WORK_BLOCK_MSG = struct.Struct("<QQ")    # block_id, payload byte count
+WORK_BLOCK_MSG = struct.Struct("<Q")     # block_id; the frame has the length
 
 # Un-resulted blocks a controller keeps in flight per device: one being
 # worked on while the next is already on its way (double buffering).
@@ -100,16 +100,13 @@ class WorkQueue:
         return self._aborted
 
 
-def encode_block(block_id: int, pairs: Sequence[tuple[int, Any]],
+def encode_block(block_id: int, items: Sequence,
                  item_codec: Codec) -> bytearray:
-    """Encode ``(index, item)`` pairs, in order, as one block payload: the
-    header, then per item its u64 sequence index and its codec bytes.
-    ``decode_block`` reads it back."""
-    out = bytearray(BLOCK_HEADER.pack(block_id, len(pairs)))
-    pack_index = _ITEM_INDEX.pack
+    """Encode ``items``, in order, as one block payload: the header, then
+    each item's codec bytes. ``decode_block`` reads it back."""
+    out = bytearray(BLOCK_HEADER.pack(block_id, len(items)))
     serialize = item_codec.serialize
-    for idx, item in pairs:
-        out += pack_index(idx)
+    for item in items:
         serialize(item, out)
     return out
 
@@ -124,7 +121,7 @@ def pack_block(queue: WorkQueue, sequence: Sequence, block: bytearray,
     """
     indices = queue.take(batch)
     if indices:
-        block[:] = encode_block(block_id, [(i, sequence[i]) for i in indices],
+        block[:] = encode_block(block_id, [sequence[i] for i in indices],
                                 item_codec)
     return indices
 
@@ -138,13 +135,12 @@ def parse_block(blob: bytes | memoryview) -> tuple[int, int, ByteReader]:
 
 
 def decode_block(blob: bytes | memoryview,
-                 item_codec: Codec) -> tuple[int, list[tuple[int, Any]]]:
-    """Decode a whole block payload into (block_id, [(index, item), ...]) in
-    block order; a short or overlong payload raises."""
+                 item_codec: Codec) -> tuple[int, list]:
+    """Decode a whole block payload into (block_id, [item, ...]) in block
+    order; a short or overlong payload raises."""
     block_id, count, reader = parse_block(blob)
-    read_index = reader.read_u64
     deser = item_codec.deserialize
-    items = [(read_index(), deser(reader)) for _ in range(count)]
+    items = [deser(reader) for _ in range(count)]
     if reader.remaining:
         raise ValueError(f"{reader.remaining} bytes past the last item")
     return block_id, items
@@ -191,8 +187,12 @@ class RunStatistics:
     bytes_received: dict[str, int] = field(default_factory=dict)
     busy_seconds: dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    devices_lost: list[str] = field(default_factory=list)
     device_errors: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def devices_lost(self) -> list[str]:
+        """Units lost mid-call, in the order their controllers finished."""
+        return list(self.device_errors)
 
     @property
     def device_items(self) -> int:
@@ -255,9 +255,10 @@ def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int) -> int:
 def _receive_result(ep, in_flight: dict, sequence, item_codec: Codec) -> int:
     """Wait for the next result block and scatter it; returns its item count.
 
-    The whole block is decoded and checked against the indices sent before
-    any item is written, so a malformed result leaves the sequence untouched
-    and its indices can safely run elsewhere. Any fault is a TransportError.
+    The whole block is decoded and checked against the block sent (id and
+    item count) before any item is written, so a malformed result leaves the
+    sequence untouched and its indices can safely run elsewhere. Any fault
+    is a TransportError.
     """
     msg = ep.recv_message()
     if msg.kind == MessageKind.SHUTDOWN:
@@ -266,22 +267,22 @@ def _receive_result(ep, in_flight: dict, sequence, item_codec: Codec) -> int:
     if msg.kind != MessageKind.RESULT_BLOCK:
         raise TransportError(f"unexpected message kind {msg.kind!r}")
     try:
-        bid, nbytes = WORK_BLOCK_MSG.unpack(msg.payload)
+        (bid,) = WORK_BLOCK_MSG.unpack(msg.payload)
     except struct.error as exc:
         raise TransportError(f"malformed result announcement: {exc}") from exc
     blob = ep.recv_blob()
     try:
-        if len(blob) != nbytes:
-            raise ValueError(f"expected {nbytes} bytes, got {len(blob)}")
         blk_id, results = decode_block(blob, item_codec)
         if blk_id != bid:
             raise ValueError(f"block id {blk_id} does not match "
                              f"announcement {bid}")
-        if [i for i, _ in results] != in_flight.get(bid):
-            raise ValueError("indices differ from those sent")
+        sent = in_flight.get(bid)
+        if sent is None or len(results) != len(sent):
+            raise ValueError("no such block in flight" if sent is None else
+                             f"{len(results)} items for {len(sent)} sent")
     except Exception as exc:
         raise TransportError(f"malformed result block {bid}: {exc}") from exc
-    for idx, value in results:
+    for idx, value in zip(sent, results):
         sequence[idx] = value
     del in_flight[bid]
     return len(results)
@@ -295,7 +296,7 @@ def run_device_controller(device: DeviceHandle, queue: WorkQueue,
     Ships FUNCTOR_STATE (the wire name) and the functor bytes as a blob,
     then loops: while fewer than ``HOT_BUFFERS`` blocks are un-resulted and
     the queue has work, pack the next block and send it; then wait for one
-    result and scatter it into the sequence by index. When the queue is
+    result and scatter it to the indices kept for its block. When the queue is
     exhausted and every sent block has come back, SHUTDOWN ends the call.
 
     If the device dies mid-call, reports a failure or returns a malformed
@@ -323,9 +324,8 @@ def run_device_controller(device: DeviceHandle, queue: WorkQueue,
                 # Recorded before sending, so a send that fails still
                 # leaves these indices to be put back.
                 in_flight[next_block_id] = packed
-                ep.send_message(Message(
-                    MessageKind.WORK_BLOCK,
-                    WORK_BLOCK_MSG.pack(next_block_id, len(block))))
+                ep.send_message(Message(MessageKind.WORK_BLOCK,
+                                        WORK_BLOCK_MSG.pack(next_block_id)))
                 ep.send_blob(block)
                 next_block_id += 1
             if not in_flight:
@@ -450,7 +450,6 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceHandle] = (), *,
         stats.bytes_received[frag["unit"]] = frag["bytes_rx"]
         stats.busy_seconds[frag["unit"]] = frag["busy_seconds"]
         if frag["error"] is not None:
-            stats.devices_lost.append(frag["unit"])
             stats.device_errors[frag["unit"]] = frag["error"]
     stats.wall_seconds = time.perf_counter() - started
     return stats

@@ -387,10 +387,8 @@ class SimStateCodec:
             p.h, p.dt, p.k_eos, p.G, p.epsilon,
             lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
             p.gravity_dims[0], p.gravity_dims[1], p.gravity_dims[2])
-        grav = state.gravity
-        gd = grav.grid.dims
-        out += struct.pack("<3Q", gd[0], gd[1], gd[2])
-        out += struct.pack(f"<{len(grav.cells)}d", *grav.cells)
+        cells = state.gravity.cells
+        out += struct.pack(f"<{len(cells)}d", *cells)
         out += struct.pack("<Q", len(state.particles))
         pack = _PARTICLE_STRUCT.pack
         for q in state.particles:
@@ -403,13 +401,10 @@ class SimStateCodec:
             h=vals[0], dt=vals[1], k_eos=vals[2], G=vals[3], epsilon=vals[4],
             world_box=((vals[5], vals[6], vals[7]), (vals[8], vals[9], vals[10])),
             gravity_dims=(vals[11], vals[12], vals[13]))
-        gdims = struct.unpack("<3Q", reader.read_bytes(24))
-        if gdims != params.gravity_dims:
-            raise ValueError("gravity field dims disagree with params")
-        ncells = gdims[0] * gdims[1] * gdims[2]
-        cells = list(struct.unpack(f"<{3 * ncells}d",
-                                   reader.read_bytes(24 * ncells)))
-        gravity = GravityField(params.gravity_grid(), cells)
+        grid = params.gravity_grid()  # the field's size follows from params
+        count = 3 * grid.cell_count
+        cells = list(struct.unpack(f"<{count}d", reader.read_bytes(8 * count)))
+        gravity = GravityField(grid, cells)
         n = reader.read_u64()
         unpack_from = _PARTICLE_STRUCT.unpack_from
         data = reader.data

@@ -20,6 +20,9 @@ with the ``time.monotonic()`` instant the simulated link would deliver it,
 and the receiver sleeps until then. Host and device share that clock (the
 subprocess link binds 127.0.0.1 only), so both transports exhibit the same
 timing model without any thread of their own.
+
+A device gets its link parameters and worker count when it is spawned, so
+the handshake is one message: the device's HELLO with its protocol version.
 """
 
 from __future__ import annotations
@@ -35,12 +38,11 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _MESSAGE_HEADER = struct.Struct("<IQ")   # kind u32, payload_length u64
 _FRAME = struct.Struct("<dQ")            # socket framing: deadline f64, length u64
-_HELLO_DEVICE = struct.Struct("<II")     # version, worker_count
-_HELLO_HOST = struct.Struct("<Idd")      # version, bandwidth, latency
+_HELLO_DEVICE = struct.Struct("<I")      # version
 _ACCEPT_POLL = 0.05                      # s between worker liveness checks
 
 
@@ -96,9 +98,9 @@ class LinkConfig:
             raise ValueError(f"unknown transport kind: {self.kind!r}")
 
 
-def link_time(nbytes: int, config: LinkConfig) -> float:
+def link_time(size: int, config: LinkConfig) -> float:
     """Simulated duration of one blob transfer: latency + bytes/bandwidth."""
-    return config.latency + nbytes / config.bandwidth
+    return config.latency + size / config.bandwidth
 
 
 def encode_message(msg: Message) -> bytes:
@@ -359,34 +361,19 @@ class DeviceHandle:
                 self._process.wait(10.0)
 
 
-def _host_handshake(endpoint: Endpoint, config: LinkConfig,
-                    timeout: float) -> int:
-    """Receive the device HELLO, validate it, reply with link parameters."""
+def _host_handshake(endpoint: Endpoint, timeout: float) -> None:
+    """Receive the device HELLO and check its protocol version."""
     msg = endpoint.recv_message(timeout)
     if msg.kind != MessageKind.HELLO:
         raise TransportError(f"expected HELLO, got {msg.kind!r}")
-    version, workers = _HELLO_DEVICE.unpack(msg.payload)
+    (version,) = _HELLO_DEVICE.unpack_from(msg.payload)  # leads every HELLO
     if version != PROTOCOL_VERSION:
         raise VersionMismatchError(
             f"device protocol {version}, host speaks {PROTOCOL_VERSION}")
-    endpoint.send_message(Message(MessageKind.HELLO, _HELLO_HOST.pack(
-        PROTOCOL_VERSION, config.bandwidth, config.latency)))
-    return workers
 
 
-def device_hello(worker_count: int,
-                 version: int = PROTOCOL_VERSION) -> Message:
-    return Message(MessageKind.HELLO, _HELLO_DEVICE.pack(version, worker_count))
-
-
-def parse_host_hello(msg: Message) -> LinkConfig:
-    if msg.kind != MessageKind.HELLO:
-        raise TransportError(f"expected HELLO, got {msg.kind!r}")
-    version, bandwidth, latency = _HELLO_HOST.unpack(msg.payload)
-    if version != PROTOCOL_VERSION:
-        raise VersionMismatchError(
-            f"host protocol {version}, device speaks {PROTOCOL_VERSION}")
-    return LinkConfig(bandwidth=bandwidth, latency=latency)
+def device_hello(version: int) -> Message:
+    return Message(MessageKind.HELLO, _HELLO_DEVICE.pack(version))
 
 
 def _accept(listener: socket.socket, proc: subprocess.Popen,
@@ -416,7 +403,7 @@ def connect(config: LinkConfig, worker_count: int, *,
             worker_command: list[str] | None = None,
             handshake_timeout: float = 60.0,
             _device_version: int | None = None) -> DeviceHandle:
-    """Bring up one device and exchange HELLOs.
+    """Bring up one device and check its HELLO.
 
     In-process: spawns the device master loop on a thread. Subprocess:
     launches the device worker executable and accepts its one local
@@ -432,17 +419,16 @@ def connect(config: LinkConfig, worker_count: int, *,
         host_ep, dev_ep = create_endpoint_pair(config, trace)
         master = threading.Thread(
             target=device_worker.serve,
-            args=(dev_ep, worker_count),
-            kwargs={"protocol_version": _device_version or PROTOCOL_VERSION},
+            args=(dev_ep, worker_count, _device_version or PROTOCOL_VERSION),
             name="device-master", daemon=True)
         master.start()
         try:
-            workers = _host_handshake(host_ep, config, handshake_timeout)
+            _host_handshake(host_ep, handshake_timeout)
         except TransportError:
             host_ep.close()
             master.join(5.0)
             raise
-        return DeviceHandle(host_ep, workers, master_thread=master)
+        return DeviceHandle(host_ep, worker_count, master_thread=master)
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -451,7 +437,9 @@ def connect(config: LinkConfig, worker_count: int, *,
     port = listener.getsockname()[1]
     cmd = worker_command or [sys.executable, "-m", "hybridsph.device_worker",
                              "--connect", f"127.0.0.1:{port}",
-                             "--workers", str(worker_count)]
+                             "--workers", str(worker_count),
+                             "--bandwidth", repr(config.bandwidth),
+                             "--latency", repr(config.latency)]
     try:
         proc = subprocess.Popen(cmd)
     except OSError as exc:
@@ -462,7 +450,7 @@ def connect(config: LinkConfig, worker_count: int, *,
         endpoint = socket_endpoint(
             "host", _accept(listener, proc, handshake_timeout), config, trace)
         try:
-            workers = _host_handshake(endpoint, config, handshake_timeout)
+            _host_handshake(endpoint, handshake_timeout)
         except BaseException:
             endpoint.close()
             raise
@@ -472,4 +460,4 @@ def connect(config: LinkConfig, worker_count: int, *,
         raise
     finally:
         listener.close()
-    return DeviceHandle(endpoint, workers, process=proc)
+    return DeviceHandle(endpoint, worker_count, process=proc)

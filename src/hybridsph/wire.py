@@ -60,19 +60,19 @@ class ByteReader:
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
-    def _take(self, nbytes: int) -> int:
+    def _take(self, size: int) -> int:
         start = self.pos
-        if start + nbytes > len(self.data):
+        if start + size > len(self.data):
             raise TruncatedInputError(
-                f"need {nbytes} bytes at offset {start}, only "
+                f"need {size} bytes at offset {start}, only "
                 f"{len(self.data) - start} remain"
             )
-        self.pos = start + nbytes
+        self.pos = start + size
         return start
 
-    def read_bytes(self, nbytes: int) -> bytes:
-        start = self._take(nbytes)
-        return bytes(self.data[start : start + nbytes])
+    def read_bytes(self, size: int) -> bytes:
+        start = self._take(size)
+        return bytes(self.data[start : start + size])
 
     def read_u32(self) -> int:
         return _U32.unpack_from(self.data, self._take(4))[0]

@@ -60,12 +60,10 @@ def max_unresulted_blocks(trace: TraceRecorder) -> int:
 
 
 class TestPackBlock:
-    # Block 42 holding the i32 items 7, 8, 9 at indices 0, 1, 2: block id
-    # u64 and item count u32, then per item its index u64 and value i32.
+    # Block 42 holding the i32 items 7, 8, 9: block id u64 and item count
+    # u32, then each item's i32. No sequence index travels with an item.
     PINNED_BLOCK = ("2a00000000000000" "03000000"
-                    "0000000000000000" "07000000"
-                    "0100000000000000" "08000000"
-                    "0200000000000000" "09000000")
+                    "07000000" "08000000" "09000000")
 
     def test_exact_fit_packs_all(self):
         # a batch the size of the remaining work takes all of it
@@ -73,8 +71,7 @@ class TestPackBlock:
         block = bytearray()
         packed = pack_block(q, [10, 20, 30, 40], block, 0, 4, I32_CODEC)
         assert packed == [0, 1, 2, 3]
-        assert decode_block(bytes(block), I32_CODEC) == (
-            0, [(0, 10), (1, 20), (2, 30), (3, 40)])
+        assert decode_block(bytes(block), I32_CODEC) == (0, [10, 20, 30, 40])
         assert q.take(1) == []
 
     def test_empty_queue_gives_empty_block(self):
@@ -96,16 +93,13 @@ class TestPackBlock:
         block = bytearray()
         assert pack_block(q, [7, 8, 9], block, 42, 3, I32_CODEC) == [0, 1, 2]
         # One encoder for every block: pinned bytes, the same as packed.
-        encoded = encode_block(42, [(0, 7), (1, 8), (2, 9)], I32_CODEC)
+        encoded = encode_block(42, [7, 8, 9], I32_CODEC)
         assert encoded.hex() == self.PINNED_BLOCK
         assert encoded == block
         block_id, count, reader = parse_block(bytes(block))
         assert (block_id, count) == (42, 3)
-        items = []
-        for _ in range(count):
-            idx = reader.read_u64()
-            items.append((idx, I32_CODEC.deserialize(reader)))
-        assert items == [(0, 7), (1, 8), (2, 9)]
+        items = [I32_CODEC.deserialize(reader) for _ in range(count)]
+        assert items == [7, 8, 9]
         # decode_block reads the same block whole and rejects a short or
         # overlong payload.
         blob = bytes(block)
@@ -283,16 +277,22 @@ def _scripted_peer(ep, mode: str) -> None:
     ``"close"`` returns block 0 intact and closes the link. The other modes
     send one bad reply and then read work blocks until the host closes:
     ``"truncated"`` returns block 0 cut short by four bytes,
+    ``"wrong-count"`` a well-formed block 0 with one item fewer,
+    ``"unknown-block"`` a well-formed result announced and headed as block 7,
     ``"short-announcement"`` a RESULT_BLOCK whose payload is 4 bytes, and
     ``"unknown-kind"`` a message of kind 9.
     """
     try:
         ep.recv_message()  # FUNCTOR_STATE: the wire name ...
         ep.recv_blob()     # ... then the functor state
-        bid, _ = runtime.WORK_BLOCK_MSG.unpack(ep.recv_message().payload)
+        (bid,) = runtime.WORK_BLOCK_MSG.unpack(ep.recv_message().payload)
         _, items = decode_block(ep.recv_blob(), I64_CODEC)
-        data = bytes(encode_block(bid, [(i, v + 1) for i, v in items],
-                                  I64_CODEC))
+        results = [v + 1 for v in items]
+        if mode == "wrong-count":
+            results.pop()
+        elif mode == "unknown-block":
+            bid = 7
+        data = bytes(encode_block(bid, results, I64_CODEC))
         if mode == "short-announcement":
             ep.send_message(Message(MessageKind.RESULT_BLOCK, b"\0" * 4))
         elif mode == "unknown-kind":
@@ -300,9 +300,8 @@ def _scripted_peer(ep, mode: str) -> None:
         else:
             if mode == "truncated":
                 data = data[:-4]
-            ep.send_message(Message(
-                MessageKind.RESULT_BLOCK,
-                runtime.WORK_BLOCK_MSG.pack(bid, len(data))))
+            ep.send_message(Message(MessageKind.RESULT_BLOCK,
+                                    runtime.WORK_BLOCK_MSG.pack(bid)))
             ep.send_blob(data)
         while mode != "close":
             if ep.recv_message().kind == MessageKind.WORK_BLOCK:
@@ -314,8 +313,9 @@ def _scripted_peer(ep, mode: str) -> None:
 
 
 class TestDeviceLoss:
-    @pytest.mark.parametrize("mode", ["close", "truncated",
-                                      "short-announcement", "unknown-kind"])
+    @pytest.mark.parametrize("mode", ["close", "truncated", "wrong-count",
+                                      "unknown-block", "short-announcement",
+                                      "unknown-kind"])
     def test_scripted_peer_fault_keeps_exactly_once(self, mode):
         # A lost or malformed device must leave every item applied exactly
         # once: stranded indices go back to the queue, and a bad result
@@ -324,6 +324,8 @@ class TestDeviceLoss:
         # reason.
         reason = {"close": "PeerClosedError: peer closed the link",
                   "truncated": "malformed result block 0",
+                  "wrong-count": "malformed result block 0",
+                  "unknown-block": "malformed result block 7",
                   "short-announcement": "malformed result announcement",
                   "unknown-kind": "9 is not a valid MessageKind"}[mode]
         for trial in range(60):
@@ -398,7 +400,7 @@ class TestDeviceLoss:
         try:
             # a work block before any functor state is a protocol violation
             host.send_message(Message(MessageKind.WORK_BLOCK,
-                                      runtime.WORK_BLOCK_MSG.pack(0, 4)))
+                                      runtime.WORK_BLOCK_MSG.pack(0)))
             host.send_blob(b"\x00" * 4)
             reply = host.recv_message(timeout=10.0)
             assert reply.kind == MessageKind.SHUTDOWN

@@ -2,6 +2,7 @@
 
 import hashlib
 import socket
+import struct
 import sys
 import time
 
@@ -10,10 +11,10 @@ import pytest
 from hybridsph.functors import AffineAction, DensityGravityAction
 from hybridsph.runtime import DeviceSpec, connect_device, hybrid_for_each
 from hybridsph.sph import make_scene, phase1_prepare
-from hybridsph.transport import (HandshakeTimeoutError, LinkConfig, Message,
-                                 MessageKind, PeerClosedError, SpawnError,
-                                 TraceRecorder, TransportError,
-                                 VersionMismatchError, connect,
+from hybridsph.transport import (PROTOCOL_VERSION, HandshakeTimeoutError,
+                                 LinkConfig, Message, MessageKind,
+                                 PeerClosedError, SpawnError, TraceRecorder,
+                                 TransportError, VersionMismatchError, connect,
                                  create_endpoint_pair, decode_message,
                                  encode_message, link_time, socket_endpoint)
 
@@ -194,17 +195,42 @@ class TestSocketPair(TestInProcessPair):
 
 
 class TestConnect:
-    def test_inprocess_hello_reports_worker_count(self):
-        handle = connect(LinkConfig(), worker_count=8)
-        assert handle.worker_count == 8
+    @pytest.mark.parametrize("kind,workers", [("in-process", 8),
+                                              ("subprocess", 3)],
+                             ids=["in-process", "subprocess"])
+    def test_hello_carries_version_only(self, kind, workers):
+        # The device is spawned with its worker count and link, so the
+        # handshake is its 4-byte HELLO and the host sends nothing back.
+        trace = TraceRecorder()
+        handle = connect(LinkConfig(kind=kind), worker_count=workers,
+                         trace=trace)
+        assert handle.worker_count == workers
+        assert trace.frames("recv_msg") == [encode_message(Message(
+            MessageKind.HELLO, struct.pack("<I", PROTOCOL_VERSION)))]
+        assert trace.frames("send_msg") == []
         handle.endpoint.send_message(Message(MessageKind.SHUTDOWN))
         handle.close()
 
-    def test_subprocess_hello_reports_worker_count(self):
-        handle = connect(LinkConfig(kind="subprocess"), worker_count=3)
-        assert handle.worker_count == 3
-        handle.endpoint.send_message(Message(MessageKind.SHUTDOWN))
-        handle.close()
+    @pytest.mark.parametrize("kind", ["in-process", "subprocess"])
+    def test_device_sends_with_configured_latency(self, kind):
+        # One item with no host workers: the functor blob, the work blob
+        # queued behind it and the result each take the 0.2 s latency, so
+        # the result is scattered no sooner than 0.6 s after the call
+        # starts. A device that sent with the default link rather than the
+        # one it was spawned with would scatter at about 0.4 s.
+        class StampedList(list):
+            def __setitem__(self, i, value):
+                self.written_at = time.monotonic()
+                super().__setitem__(i, value)
+
+        dev = connect_device(DeviceSpec(
+            worker_count=1, link=LinkConfig(latency=0.2, kind=kind)), 0)
+        items = StampedList([1])
+        t0 = time.monotonic()
+        stats = hybrid_for_each(items, AffineAction(3), [dev],
+                                host_workers=0)
+        assert items == [5] and stats.device_items == 1
+        assert items.written_at - t0 >= 0.6
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(VersionMismatchError):
@@ -261,16 +287,18 @@ class TestTransportEquivalence:
         # the result order deterministic too).
         assert a.frames("recv_msg") == b.frames("recv_msg")
         assert a.frames("recv_blob") == b.frames("recv_blob")
+        # The device's HELLO is the one handshake message.
+        assert a.message_kinds("recv_msg")[0] == MessageKind.HELLO
         kinds = a.message_kinds("send_msg")
-        assert kinds[0] == MessageKind.HELLO
-        assert kinds[1] == MessageKind.FUNCTOR_STATE
+        assert kinds[0] == MessageKind.FUNCTOR_STATE
         assert kinds[-2:] == [MessageKind.WORK_BLOCK, MessageKind.SHUTDOWN]
 
 
 # SHA-256 over every endpoint event of the golden schedule (in-process, then
-# subprocess) and of a 300-particle phase-2 call; pins each wire byte.
+# subprocess) and of a 300-particle phase-2 call; pins each wire byte of
+# protocol 4.
 GOLDEN_WIRE_SHA256 = (
-    "a8a6a9906c6b5950de0c45f3ef69b877fad1f8852af04a03341304fedbf5137a")
+    "24de086dae2251908af3507bb36ae59e5ee30f488854d9c28274a08663c24064")
 
 
 def test_golden_wire_digest():

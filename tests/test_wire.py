@@ -174,10 +174,10 @@ def test_state_codec_size_matches_emitted_bytes():
     sph.phase1_prepare(state)
     out = bytearray()
     sph.SIM_STATE_CODEC.serialize(state, out)
-    # Tallied from the layout: 14 param fields of 8 bytes, the gravity dims
-    # (3 u64) and 3 f64 per gravity cell, the particle count (u64), then
+    # Tallied from the layout: 14 param fields of 8 bytes, 3 f64 per gravity
+    # cell (the params fix the cell count), the particle count (u64), then
     # one record per particle.
-    expected = 14 * 8 + 3 * 8 + 3 * 8 * 4 ** 3 + 8 + 108 * 37
+    expected = 14 * 8 + 3 * 8 * 4 ** 3 + 8 + 108 * 37
     assert len(out) == expected
     back = sph.SIM_STATE_CODEC.deserialize(ByteReader(bytes(out)))
     assert particle_bits(back.particles[5]) == particle_bits(state.particles[5])
