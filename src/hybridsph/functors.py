@@ -10,18 +10,25 @@ immutable item types). ``item_codec`` names the codec for its items.
 
 A value functor is a dataclass of numbers that declares its wire layout by
 registering ``RecordCodec(<struct format of its fields>, cls)``. The SPH
-phase actions ship the whole simulation state instead; phase 4 never leaves
-the host, so ``IntegrateAction`` has no wire name.
+phase actions ship the whole simulation state instead, and answer each
+particle from a block of rows computed at once by the phase's array form
+(``sph.density_gravity_rows``, ``sph.pressure_rows``) over a column
+snapshot taken when the action is built. Phase 4 never leaves the host, so
+``IntegrateAction`` has no wire name.
 """
 
 from __future__ import annotations
 
+import struct
+import threading
 import time
 from dataclasses import dataclass
 
 from . import sph
 from .wire import (ByteReader, I32_CODEC, I64_CODEC, RecordCodec,
                    register_functor)
+
+_XYZ = struct.Struct("<3d")
 
 
 @dataclass
@@ -75,34 +82,79 @@ class JitterSleepAction:
         return x * 3 + 2
 
 
-class DensityGravityAction:
+BLOCK_ROWS = 256  # rows an SPH phase action computes together
+
+
+class _SnapshotAction:
+    """An SPH phase over a column snapshot of the state, taken when the
+    action is built: on the host just before the call, on a device when
+    ``_StateActionCodec`` decodes it.
+
+    ``apply(p)`` reads the row named by ``p.id``, which must hold ``p``'s
+    position bits, else it raises ``ValueError``. The first apply in a block
+    of ``BLOCK_ROWS`` rows computes the whole block with the phase's array
+    form, once, under a lock; the others read their row from it.
+    """
+
+    __slots__ = ("state", "_cols", "_xyz", "_blocks", "_lock")
+
+    item_codec = sph.PARTICLE_CODEC
+
+    def __init__(self, state: sph.SimulationState):
+        import numpy as np  # deferred: keeps device-worker startup lean
+
+        self.state = state
+        cols = self._cols = sph.phase_columns(state, self.fields)
+        self._xyz = np.stack((cols["x"], cols["y"], cols["z"]),
+                             axis=1).astype("<f8").tobytes()
+        self._blocks: dict[int, list] = {}
+        self._lock = threading.Lock()
+
+    def apply(self, p: sph.Particle) -> sph.Particle:
+        i = p.id
+        if _XYZ.pack(p.x, p.y, p.z) != self._xyz[24 * i:24 * i + 24]:
+            raise ValueError(f"particle id {i} does not name its own row "
+                             f"of the snapshot")
+        lo = i - i % BLOCK_ROWS
+        block = self._blocks.get(lo)
+        if block is None:
+            with self._lock:
+                block = self._blocks.get(lo)
+                if block is None:
+                    hi = min(lo + BLOCK_ROWS, len(self._xyz) // 24)
+                    arrays = self.rows(self.state, self._cols, lo, hi)
+                    block = list(zip(*(a.tolist() for a in arrays)))
+                    self._blocks[lo] = block
+        self.write(p, block[i - lo])
+        return p
+
+
+class DensityGravityAction(_SnapshotAction):
     """Density + pressure + gravity sampling over a shared state snapshot."""
 
-    __slots__ = ("state",)
+    __slots__ = ()
 
     wire_name = "sph-density-gravity"
-    item_codec = sph.PARTICLE_CODEC
+    fields = ("mass",)
+    rows = staticmethod(sph.density_gravity_rows)
 
-    def __init__(self, state: sph.SimulationState):
-        self.state = state
-
-    def apply(self, p: sph.Particle) -> sph.Particle:
-        return sph.phase2_density_gravity(self.state, p)
+    @staticmethod
+    def write(p: sph.Particle, row: tuple) -> None:
+        p.density, p.pressure, p.ax, p.ay, p.az = row
 
 
-class PressureForceAction:
+class PressureForceAction(_SnapshotAction):
     """Pressure-force accumulation over a shared state snapshot."""
 
-    __slots__ = ("state",)
+    __slots__ = ()
 
     wire_name = "sph-pressure"
-    item_codec = sph.PARTICLE_CODEC
+    fields = ("mass", "density", "pressure", "ax", "ay", "az")
+    rows = staticmethod(sph.pressure_rows)
 
-    def __init__(self, state: sph.SimulationState):
-        self.state = state
-
-    def apply(self, p: sph.Particle) -> sph.Particle:
-        return sph.phase3_pressure(self.state, p)
+    @staticmethod
+    def write(p: sph.Particle, row: tuple) -> None:
+        p.ax, p.ay, p.az = row
 
 
 class _StateActionCodec:

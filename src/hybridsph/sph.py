@@ -8,10 +8,15 @@ masses; phase 3 writes acceleration and reads everything phase 2 produced).
 That independence is what lets a step farm particles out to host workers and
 devices in any order and still produce bit-identical results.
 
-All field sums are plain loops over ``SpatialIndex.within``, so they
-accumulate in spatial-index chain order, which is fully determined by the
-particle array and the grid: host and device evaluate identical
-floating-point sequences.
+Every field sum adds its terms in the order of ``SpatialIndex.within``,
+which the particle array and the grid fully determine, so host and device
+evaluate identical floating-point sequences. The scalar phase functions
+(``phase2_density_gravity``, ``phase3_pressure``) are loops over that walk
+and stay the reference. The step runs their array twins
+(``density_gravity_rows``, ``pressure_rows``): column sums over
+``SpatialIndex.table`` for a block of rows of a column snapshot
+(``phase_columns``), which add the same terms in the same order and give
+the same bits. numpy is imported inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
-from .grid import GridSpec, SpatialIndex, build_index, cell_coords
+from .grid import (GridSpec, SpatialIndex, build_index, cell_coords, cell_ids,
+                   columns)
 from .wire import ByteReader
 
 _PI = math.pi
+_GRAVITY_CHUNK = 64  # cells per block of the gravity sum
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +201,32 @@ def kernel_dw(r: float, h: float) -> float:
     return 8.0 / (_PI * h * h * h * h) * m
 
 
+def kernel_w_array(r, h: float):
+    """:func:`kernel_w` over a float64 array, with the same bits per element:
+    each branch is the scalar expression in its association order."""
+    import numpy as np
+
+    x = r / h
+    x2 = x * x
+    inner = 1.0 - 6.0 * x2 + 6.0 * x2 * x
+    u = 1.0 - x
+    outer = 2.0 * u * u * u
+    m = np.where(x <= 0.5, inner, np.where(x > 1.0, 0.0, outer))
+    return 8.0 / (_PI * h * h * h) * m
+
+
+def kernel_dw_array(r, h: float):
+    """:func:`kernel_dw` over a float64 array, with the same bits per element."""
+    import numpy as np
+
+    x = r / h
+    inner = -12.0 * x + 18.0 * x * x
+    u = 1.0 - x
+    outer = -6.0 * u * u
+    m = np.where(x <= 0.5, inner, np.where(x > 1.0, 0.0, outer))
+    return 8.0 / (_PI * h * h * h * h) * m
+
+
 # ---------------------------------------------------------------------------
 # Field evaluation
 # ---------------------------------------------------------------------------
@@ -204,7 +237,7 @@ def field_property(point: Sequence[float], state: SimulationState,
 
     ``accessor`` maps a particle to the property A_j, either a scalar or a
     3-sequence (the result is then a 3-tuple). Contributions accumulate in
-    spatial-index chain order; particles at distance >= h contribute nothing.
+    spatial-index order; particles at distance >= h contribute nothing.
     Densities of contributing particles must be positive (run phase 2 first
     when using a non-density accessor).
     """
@@ -234,7 +267,14 @@ def build_gravity_field(particles: Sequence[Particle], grid: GridSpec,
     g(c) = sum_j G m_j (pos_j - c) / (|pos_j - c|^2 + eps^2)^(3/2).
 
     O(cells * particles); runs once per step on the host and ships to
-    devices, so it is vectorized rather than kept loop-identical.
+    devices. The sum is an array program over per-axis ``(particles,
+    cells)`` blocks of ``_GRAVITY_CHUNK`` cells. Summing such a block down
+    its rows adds the particles one at a time in index order, which fixes
+    the bits. A block one column wide is contiguous, and numpy sums it
+    pairwise instead, so no block may be one column wide: a one-column
+    remainder joins the block before it, and a one-cell grid evaluates its
+    centre twice and keeps one. ``r2`` is formed as ``dx*dx + dy*dy +
+    dz*dz`` and only then softened, in that order.
     """
     import numpy as np  # deferred: keeps device-worker startup lean
 
@@ -243,35 +283,37 @@ def build_gravity_field(particles: Sequence[Particle], grid: GridSpec,
     if n == 0:
         return GravityField(grid, [0.0] * (3 * ncells))
 
-    pos = np.empty((n, 3), dtype=np.float64)
-    mass = np.empty(n, dtype=np.float64)
-    for i, p in enumerate(particles):
-        pos[i, 0] = p.x
-        pos[i, 1] = p.y
-        pos[i, 2] = p.z
-        mass[i] = p.mass
-
+    px, py, pz, mass = columns(particles, ("x", "y", "z", "mass"))
     nx, ny, nz = grid.dims
     ox, oy, oz = grid.origin
     cs = grid.cell_size
     iz, iy, ix = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
                              indexing="ij")
-    centers = np.empty((ncells, 3), dtype=np.float64)
-    centers[:, 0] = ox + (ix.ravel() + 0.5) * cs
-    centers[:, 1] = oy + (iy.ravel() + 0.5) * cs
-    centers[:, 2] = oz + (iz.ravel() + 0.5) * cs
+    cx = ox + (ix.ravel() + 0.5) * cs
+    cy = oy + (iy.ravel() + 0.5) * cs
+    cz = oz + (iz.ravel() + 0.5) * cs
+    if ncells == 1:
+        cx, cy, cz = (np.repeat(c, 2) for c in (cx, cy, cz))
+    m = len(cx)
+    edges = list(range(0, m, _GRAVITY_CHUNK))
+    if m - edges[-1] == 1 and len(edges) > 1:
+        edges.pop()
+    edges.append(m)
 
     eps2 = epsilon * epsilon
-    out = np.empty((ncells, 3), dtype=np.float64)
-    # Chunk size depends only on n so the summation order is reproducible.
-    chunk = max(1, 4_194_304 // n)
-    for start in range(0, ncells, chunk):
-        c = centers[start : start + chunk]
-        d = pos[None, :, :] - c[:, None, :]
-        r2 = (d * d).sum(axis=2) + eps2
-        w = (G * mass)[None, :] / (r2 * np.sqrt(r2))
-        out[start : start + chunk] = (w[:, :, None] * d).sum(axis=1)
-    return GravityField(grid, out.ravel().tolist())
+    gm = (G * mass)[:, None]
+    out = np.empty((m, 3), dtype=np.float64)
+    for s, e in zip(edges, edges[1:]):
+        dx = px[:, None] - cx[None, s:e]
+        dy = py[:, None] - cy[None, s:e]
+        dz = pz[:, None] - cz[None, s:e]
+        r2 = dx * dx + dy * dy + dz * dz
+        r2 += eps2
+        w = gm / (r2 * np.sqrt(r2))
+        out[s:e, 0] = (w * dx).sum(axis=0)
+        out[s:e, 1] = (w * dy).sum(axis=0)
+        out[s:e, 2] = (w * dz).sum(axis=0)
+    return GravityField(grid, out[:ncells].ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +390,82 @@ def phase3_pressure(state: SimulationState, p: Particle) -> Particle:
     return p
 
 
+def phase_columns(state: SimulationState, fields: Sequence[str]) -> dict:
+    """Column snapshot of a state for the array phases.
+
+    Holds the positions the spatial index was built from (``x``, ``y``,
+    ``z``), a float64 array per named particle field, and the gravity
+    field's cells as a ``(cells, 3)`` array under ``gravity``. Taken before
+    a phase, it is the pre-phase snapshot the phase reads.
+    """
+    import numpy as np
+
+    index = state.index
+    cols = dict(zip(fields, columns(state.particles, fields)))
+    cols.update(x=index.xs, y=index.ys, z=index.zs,
+                gravity=np.asarray(state.gravity.cells).reshape(-1, 3))
+    return cols
+
+
+def density_gravity_rows(state: SimulationState, cols: dict, lo: int,
+                         hi: int) -> tuple:
+    """:func:`phase2_density_gravity` for particles ``lo..hi-1`` of the
+    snapshot ``cols`` (fields ``mass``), as arrays with the same bits:
+    ``(density, pressure, ax, ay, az)``.
+
+    Each density starts at 0.0 and adds one neighbour column of
+    ``SpatialIndex.table`` at a time, so every row adds the terms of the
+    scalar loop in its order. Padded slots are skipped with ``np.where``.
+    """
+    import numpy as np
+
+    params = state.params
+    h = params.h
+    xs, ys, zs = cols["x"][lo:hi], cols["y"][lo:hi], cols["z"][lo:hi]
+    idx, _, _, _, r2, valid = state.index.table(xs, ys, zs, h)
+    w = cols["mass"][idx] * kernel_w_array(np.sqrt(r2), h)
+    rho = np.zeros(hi - lo)
+    for k in range(w.shape[1]):
+        rho = np.where(valid[:, k], rho + w[:, k], rho)
+    g = cols["gravity"][cell_ids(xs, ys, zs, state.gravity.grid)]
+    return rho, params.k_eos * rho, g[:, 0], g[:, 1], g[:, 2]
+
+
+def pressure_rows(state: SimulationState, cols: dict, lo: int,
+                  hi: int) -> tuple:
+    """:func:`phase3_pressure` for particles ``lo..hi-1`` of the snapshot
+    ``cols`` (fields ``mass``, ``density``, ``pressure``, ``ax``, ``ay``,
+    ``az``), as arrays with the same bits: ``(ax, ay, az)``.
+
+    Each row starts from its own snapshot acceleration and subtracts one
+    neighbour column at a time, skipping padded slots and ``r2 == 0`` as
+    the scalar loop does. Masks select with ``np.where``: multiplying by a
+    mask could turn ``-0.0`` into ``+0.0``.
+    """
+    import numpy as np
+
+    h = state.params.h
+    mass, dens, prs = cols["mass"], cols["density"], cols["pressure"]
+    idx, dx, dy, dz, r2, valid = state.index.table(
+        cols["x"][lo:hi], cols["y"][lo:hi], cols["z"][lo:hi], h)
+    d = dens[lo:hi]
+    dj = dens[idx]
+    r = np.sqrt(r2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r == 0 is skipped
+        self_term = prs[lo:hi] / (d * d)
+        coef = (mass[idx] * (self_term[:, None] + prs[idx] / (dj * dj))
+                * kernel_dw_array(r, h) / r)
+    live = valid & (r2 > 0.0)
+    ax, ay, az = cols["ax"][lo:hi], cols["ay"][lo:hi], cols["az"][lo:hi]
+    for k in range(coef.shape[1]):
+        on = live[:, k]
+        c = coef[:, k]
+        ax = np.where(on, ax - c * dx[:, k], ax)
+        ay = np.where(on, ay - c * dy[:, k], ay)
+        az = np.where(on, az - c * dz[:, k], az)
+    return ax, ay, az
+
+
 def phase4_integrate(p: Particle, dt: float) -> Particle:
     """Semi-implicit Euler: v += a dt, then pos += v dt; acceleration resets
     to zero so each step is self-contained."""
@@ -375,7 +493,7 @@ class SimStateCodec:
 
     The spatial index never crosses the wire; the receiving side rebuilds it
     from the particle array and the grid derived from the params, which
-    reproduces the exact same chains.
+    reproduces the exact same index.
     """
 
     __slots__ = ()
@@ -474,9 +592,12 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
 
     Phase 1 runs serially on the host. Phases 2 and 3 run through
     hybrid_for_each with a fresh whole-state transfer per phase (devices are
-    connected per phase and discard their state copies afterwards). Phase 4
-    runs with local parallelism only; shipping it would cost more in
-    transfers than it saves.
+    connected per phase and discard their state copies afterwards). Each
+    phase's functor is built just before its call, because it snapshots
+    the state then: phase 3 reads the densities phase 2 wrote. The
+    snapshot counts in the phase's time. Phase 4 runs with local
+    parallelism only; shipping it would cost more in transfers than it
+    saves.
     """
     from . import functors
     from .runtime import connect_devices, hybrid_for_each
@@ -490,14 +611,17 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     n = len(state.particles)
     timing.items_total = 2 * n
 
-    for phase_name, functor in (
-            ("phase2_s", functors.DensityGravityAction(state)),
-            ("phase3_s", functors.PressureForceAction(state))):
+    for phase_name, action in (
+            ("phase2_s", functors.DensityGravityAction),
+            ("phase3_s", functors.PressureForceAction)):
+        t0 = time.perf_counter()
+        functor = action(state)
+        snapshot_s = time.perf_counter() - t0
         devices = connect_devices(device_specs)
         t0 = time.perf_counter()
         stats = hybrid_for_each(state.particles, functor, devices,
                                 host_workers=host_workers)
-        setattr(timing, phase_name, time.perf_counter() - t0)
+        setattr(timing, phase_name, snapshot_s + time.perf_counter() - t0)
         timing.stats.append(stats)
         timing.items_on_devices += stats.device_items
 

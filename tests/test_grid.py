@@ -1,11 +1,14 @@
-"""Spatial index: cell mapping, chain structure, neighbor completeness."""
+"""Spatial index: cell mapping, cell-sorted order, neighbor completeness,
+and the array twins of the clamp and the neighbour query."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from hybridsph.grid import (END, GridSpec, build_index, cell_of,
-                            neighbor_candidates)
+from hybridsph.grid import (GridSpec, build_index, cell_coords,
+                            cell_coords_array, cell_of, neighbor_candidates)
 from hybridsph.sph import Particle
 
 from conftest import brute_neighbors, random_particles
@@ -40,67 +43,116 @@ class TestCellOf:
             GridSpec(origin=(0, 0, 0), cell_size=1.0, dims=(0, 4, 4))
 
 
-class TestBuildIndex:
-    def test_empty_scene_all_heads_end(self):
-        index = build_index([], GRID)
-        assert all(h == END for h in index.heads)
-        assert index.next == []
+def cell_members(index, c):
+    return index.order[index.start[c]:index.start[c + 1]]
 
-    def test_prepend_order_in_one_cell(self):
+
+class TestBuildIndex:
+    def test_empty_scene_all_cells_empty(self):
+        index = build_index([], GRID)
+        assert index.order == []
+        assert index.start == [0] * (GRID.cell_count + 1)
+
+    def test_descending_order_in_one_cell(self):
         parts = [make_particle(i, 0.1, 0.1, 0.1) for i in range(3)]
         index = build_index(parts, GRID)
         c = cell_of((0.1, 0.1, 0.1), GRID)
-        # inserted 0,1,2 with prepend: chain is 2 -> 1 -> 0 -> END
-        assert index.heads[c] == 2
-        assert index.next[2] == 1
-        assert index.next[1] == 0
-        assert index.next[0] == END
+        # inside a cell, descending particle index
+        assert cell_members(index, c) == [2, 1, 0]
+        assert index.start[c + 1] - index.start[c] == 3
 
     def test_membership_matches_brute_force_assignment(self):
-        parts = random_particles(500, seed=11)
+        parts = random_particles(500, seed=11, span=1.4)
         index = build_index(parts, GRID)
-        # walk every chain and confirm each member maps to that cell
-        seen = set()
-        chain_total = 0
-        for c, head in enumerate(index.heads):
-            j = head
-            while j != END:
+        # every cell's slice holds exactly the particles of that cell, in
+        # descending index, and each particle appears once
+        seen = []
+        for c in range(GRID.cell_count):
+            members = cell_members(index, c)
+            for j in members:
                 assert cell_of((parts[j].x, parts[j].y, parts[j].z), GRID) == c
-                assert j not in seen, "particle appears in two chains"
-                seen.add(j)
-                chain_total += 1
-                j = index.next[j]
-        assert chain_total == len(parts)
+            assert members == sorted(members, reverse=True)
+            seen += members
+        assert seen == index.order
+        assert sorted(seen) == list(range(len(parts)))
 
-    def test_zero_allocation_rebuild(self):
-        parts = random_particles(200, seed=5)
-        index = build_index(parts, GRID)
-        heads_obj, next_obj = index.heads, index.next
-        for p in parts:
-            p.x += 0.01
-        rebuilt = build_index(parts, GRID, index)
-        assert rebuilt is index
-        assert rebuilt.heads is heads_obj
-        assert rebuilt.next is next_obj
-        assert len(rebuilt.heads) == GRID.cell_count
-        assert len(rebuilt.next) == len(parts)
-
-    def test_rebuild_replaces_stale_chains(self):
+    def test_rebuild_replaces_stale_cells(self):
         parts = [make_particle(0, -0.9, -0.9, -0.9)]
         index = build_index(parts, GRID)
         old_cell = cell_of((-0.9, -0.9, -0.9), GRID)
         parts[0].x = 0.9
-        build_index(parts, GRID, index)
+        assert build_index(parts, GRID, index) is index
         new_cell = cell_of((0.9, -0.9, -0.9), GRID)
-        assert index.heads[old_cell] == END
-        assert index.heads[new_cell] == 0
+        assert cell_members(index, old_cell) == []
+        assert cell_members(index, new_cell) == [0]
 
     def test_determinism(self):
         parts = random_particles(300, seed=9)
         a = build_index(parts, GRID)
         b = build_index(parts, GridSpec(GRID.origin, GRID.cell_size, GRID.dims))
-        assert a.heads == b.heads
-        assert a.next == b.next
+        assert a.order == b.order
+        assert a.start == b.start
+
+
+class TestArrayClamp:
+    @pytest.mark.parametrize("grid", [
+        GRID,
+        GridSpec(origin=(0.0, 0.0, 0.0), cell_size=0.3, dims=(5, 1, 7)),
+        GridSpec(origin=(-2.0, -2.0, -2.0), cell_size=0.12, dims=(34, 34, 34)),
+    ], ids=["8^3", "5x1x7-at-zero", "index-grid"])
+    def test_matches_axis_cell(self, grid):
+        values = [1e300, -1e300, -0.0, 0.0, 5e-324, -5e-324]
+        for o, cs, n in zip(grid.origin, (grid.cell_size,) * 3, grid.dims):
+            top = o + n * cs
+            values += [o, math.nextafter(o, -math.inf),
+                       math.nextafter(o, math.inf), top,
+                       math.nextafter(top, -math.inf),
+                       math.nextafter(top, math.inf)]
+            for k in range(n + 1):
+                edge = o + k * cs
+                values += [edge, math.nextafter(edge, -math.inf),
+                           math.nextafter(edge, math.inf)]
+        rng = random.Random(5)
+        values += [rng.uniform(-3.0, 3.0) for _ in range(200)]
+        xs = np.array(values)
+        got = cell_coords_array(xs, xs, xs, grid)
+        for i, v in enumerate(values):
+            assert tuple(int(a[i]) for a in got) == \
+                cell_coords(v, v, v, grid), v
+
+
+class TestTable:
+    def test_rows_equal_within(self):
+        # Scene and query points spill past every face of the grid.
+        parts = random_particles(500, seed=34, span=1.4)
+        index = build_index(parts, GRID)
+        rng = random.Random(79)
+        pts = [(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6),
+                rng.uniform(-1.6, 1.6)) for _ in range(300)]
+        pts += [(p.x, p.y, p.z) for p in parts[:50]]
+        for radius in (0.2, 0.25, 0.6):
+            xs, ys, zs = (np.array(c) for c in zip(*pts))
+            idx, dx, dy, dz, r2, valid = index.table(xs, ys, zs, radius)
+            assert idx.shape == r2.shape == valid.shape
+            for i, pt in enumerate(pts):
+                want = index.within(parts, *pt, radius)
+                k = len(want)
+                assert valid[i].tolist() == [True] * k + \
+                    [False] * (valid.shape[1] - k)
+                got = list(zip(idx[i, :k].tolist(), dx[i, :k].tolist(),
+                               dy[i, :k].tolist(), dz[i, :k].tolist(),
+                               r2[i, :k].tolist()))
+                assert got == [(q.id, a, b, c, d) for q, a, b, c, d in want]
+
+    def test_empty_index_and_no_points(self):
+        index = build_index([], GRID)
+        empty = np.zeros(0)
+        out = index.table(np.array([0.1]), np.array([0.2]), np.array([0.3]),
+                          0.25)
+        assert [a.shape for a in out] == [(1, 0)] * 6
+        index = build_index(random_particles(20, seed=3), GRID)
+        out = index.table(empty, empty, empty, 0.25)
+        assert [a.shape for a in out] == [(0, 0)] * 6
 
 
 class TestNeighborCandidates:

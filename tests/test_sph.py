@@ -1,22 +1,31 @@
-"""Kernel, field sums, gravity, the four phases, and step-level properties."""
+"""Kernel, field sums, gravity, the four phases and their array forms, and
+step-level properties."""
 
+import copy
 import hashlib
 import math
 import random
+import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from hybridsph.functors import DensityGravityAction, PressureForceAction
 from hybridsph.grid import GridSpec
 from hybridsph.sph import (Particle, SimParams, SimulationState,
-                           build_gravity_field, field_property, kernel_dw,
-                           kernel_w, make_scene, phase1_prepare,
-                           phase2_density_gravity, phase3_pressure,
-                           phase4_integrate, simulation_step)
+                           build_gravity_field, density_gravity_rows,
+                           field_property, kernel_dw, kernel_dw_array,
+                           kernel_w, kernel_w_array, make_scene,
+                           phase1_prepare, phase2_density_gravity,
+                           phase3_pressure, phase4_integrate, phase_columns,
+                           pressure_rows, simulation_step)
 
 from conftest import (brute_density, brute_field, brute_gravity_at,
                       brute_pressure_accel, lone_particle_positions,
-                      particle_bits, rel_err)
+                      particle_bits, random_particles, rel_err)
 
 
 def prepared_state(n, seed, params=None, equal_mass=True, span=0.8):
@@ -208,6 +217,31 @@ class TestGravityField:
         assert all(v == 0.0 for v in field.cells)
         assert len(field.cells) == 3 * self.GRID.cell_count
 
+    @pytest.mark.parametrize("dims, n, digest", [
+        ((8, 8, 8), 9, "b6677abbca0d33921e6413f2678b5700"
+                       "66e3af76a2f13c104158c9d0ea7a130f"),
+        ((8, 8, 8), 3000, "8ca0acebf5d9526baa7cdd9fe69af170"
+                          "1f1a802f58ea506a0118d73987b90b91"),
+        ((5, 13, 1), 9, "47b4dd58e9024ccdb6b58ff116816ca2"
+                        "711331a07f96c6810341d14d85c0b24a"),
+        ((5, 13, 1), 3000, "9d688f7de6b56d39e7df223148902a92"
+                           "74e61de1dbe07449ee9de7d4b9863e10"),
+        ((1, 1, 1), 9, "8205828ddbe3a844a196ce44d1ee5230"
+                       "1b42684394f7d6e29cce9b6beb8f3b7e"),
+        ((1, 1, 1), 3000, "8a2714fd6efd9c9fb0123cf45569075d"
+                          "fc423c6f255d7d968e434342fddedc3b"),
+    ])
+    def test_golden_field_digest(self, dims, n, digest):
+        # The step digest sees the field only through accelerations. These
+        # pin every cell, including a grid whose cell count (65) leaves a
+        # one-cell remainder block and a grid of a single cell.
+        params = SimParams(gravity_dims=dims)
+        state = make_scene(n, params, seed=7)
+        field = build_gravity_field(state.particles, params.gravity_grid(),
+                                    params.G, params.epsilon)
+        raw = struct.pack(f"<{len(field.cells)}d", *field.cells)
+        assert hashlib.sha256(raw).hexdigest() == digest
+
 
 # ---------------------------------------------------------------------------
 # Phases
@@ -217,16 +251,19 @@ class TestPhase1:
     def test_idempotent_without_motion(self):
         state = make_scene(100, seed=3)
         phase1_prepare(state)
-        heads1 = list(state.index.heads)
+        order1 = list(state.index.order)
+        start1 = list(state.index.start)
         cells1 = list(state.gravity.cells)
         phase1_prepare(state)
-        assert state.index.heads == heads1
+        assert state.index.order == order1
+        assert state.index.start == start1
         assert state.gravity.cells == cells1
 
     def test_empty_scene(self):
         state = SimulationState(particles=[], params=SimParams())
         phase1_prepare(state)
-        assert all(h == -1 for h in state.index.heads)
+        assert state.index.order == []
+        assert all(s == 0 for s in state.index.start)
         assert all(v == 0.0 for v in state.gravity.cells)
 
 
@@ -342,6 +379,145 @@ class TestPhase3:
         ax0 = a.ax
         phase3_pressure(state, a)
         assert a.ax == ax0 and math.isfinite(a.ax)
+
+
+def phases_both_ways(particles, params, seed=0):
+    """Phases 1-3 on two copies of ``particles``: through the step's
+    actions (applied in a shuffled order) and through the scalar reference.
+    Returns the bits of both after phase 2 and after phase 3."""
+    fast = SimulationState([copy.copy(p) for p in particles], params)
+    ref = SimulationState([copy.copy(p) for p in particles], params)
+    phase1_prepare(fast)
+    phase1_prepare(ref)
+    order = list(range(len(particles)))
+    random.Random(seed).shuffle(order)
+    out = []
+    for action, scalar in ((DensityGravityAction, phase2_density_gravity),
+                           (PressureForceAction, phase3_pressure)):
+        functor = action(fast)
+        for i in order:
+            functor.apply(fast.particles[i])
+        for p in ref.particles:
+            scalar(ref, p)
+        out.append(([particle_bits(p) for p in fast.particles],
+                    [particle_bits(p) for p in ref.particles]))
+    return out
+
+
+class TestArrayPhases:
+    def test_kernel_twins_equal_scalar(self):
+        rng = random.Random(8)
+        for h in (0.12, 1.0, 3.5):
+            rs = [0.0, -0.0, h / 2, h, 2 * h, math.nextafter(h / 2, 0.0),
+                  math.nextafter(h / 2, h), math.nextafter(h, 0.0),
+                  math.nextafter(h, 2 * h)]
+            rs += [rng.uniform(0.0, 1.2 * h) for _ in range(500)]
+            w = kernel_w_array(np.array(rs), h).tolist()
+            dw = kernel_dw_array(np.array(rs), h).tolist()
+            for r, a, b in zip(rs, w, dw):
+                assert struct.pack("<2d", a, b) == struct.pack(
+                    "<2d", kernel_w(r, h), kernel_dw(r, h)), r
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3000])
+    def test_actions_equal_scalar_reference(self, n):
+        params = SimParams()
+        scene = make_scene(n, params, seed=n)
+        for fast, ref in phases_both_ways(scene.particles, params, seed=n):
+            assert fast == ref
+
+    def test_unequal_masses(self):
+        parts = random_particles(400, seed=12, span=0.6, equal_mass=False)
+        for fast, ref in phases_both_ways(parts, SimParams()):
+            assert fast == ref
+
+    def test_lone_particles_and_coincident_pair(self):
+        params = SimParams()
+        for x, y, z in lone_particle_positions(params):
+            lone = [Particle(id=0, material=0, x=x, y=y, z=z, mass=0.8)]
+            for fast, ref in phases_both_ways(lone, params):
+                assert fast == ref, (x, y, z)
+        pair = [Particle(id=i, material=0, x=0.1, y=-0.0, z=0.1, mass=1.0)
+                for i in range(2)]
+        for fast, ref in phases_both_ways(pair, params):
+            assert fast == ref
+
+    def test_bits_do_not_depend_on_row_grouping(self):
+        state = prepared_state(600, seed=19, equal_mass=False)
+        n = len(state.particles)
+        for rows, fields in (
+                (density_gravity_rows, ("mass",)),
+                (pressure_rows, ("mass", "density", "pressure",
+                                 "ax", "ay", "az"))):
+            cols = phase_columns(state, fields)
+            whole = np.stack(rows(state, cols, 0, n), axis=1)
+            singles = np.concatenate([np.stack(rows(state, cols, i, i + 1),
+                                               axis=1) for i in range(n)])
+            assert whole.tobytes() == singles.tobytes()
+
+    def test_each_block_computed_once_under_contention(self):
+        # More threads than cores and a short switch interval: a block that
+        # two threads both computed, or a row read before its block was
+        # stored, would show in the call count or the bits.
+        state = prepared_state(1200, seed=4)
+        calls = []
+
+        class Counted(DensityGravityAction):
+            __slots__ = ()
+
+            @staticmethod
+            def rows(*args):
+                calls.append(args[2])
+                return density_gravity_rows(*args)
+
+        functor = Counted(state)
+        copies = [[copy.copy(p) for p in state.particles] for _ in range(6)]
+        for p in (p for parts in copies for p in parts):
+            p.density = p.pressure = p.ax = p.ay = p.az = 0.0
+
+        def work(k):
+            parts = copies[k]
+            for i in random.Random(k).sample(range(len(parts)), len(parts)):
+                functor.apply(parts[i])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == list(range(0, 1200, 256))
+        want = [particle_bits(p) for p in state.particles]
+        for parts in copies:
+            assert [particle_bits(p) for p in parts] == want
+
+    def test_apply_rejects_a_particle_of_another_row(self):
+        state = prepared_state(50, seed=2)
+        for action in (DensityGravityAction, PressureForceAction):
+            functor = action(state)
+            stranger = copy.copy(state.particles[3])
+            stranger.id = 4
+            with pytest.raises(ValueError):
+                functor.apply(stranger)
+            stranger.id = 50  # past the last row
+            with pytest.raises(ValueError):
+                functor.apply(stranger)
+            moved = copy.copy(state.particles[3])
+            moved.x = math.nextafter(moved.x, math.inf)
+            with pytest.raises(ValueError):
+                functor.apply(moved)
+
+    def test_device_worker_import_leaves_numpy_unloaded(self):
+        # A subprocess device pays for every import at each connect.
+        code = ("import sys, hybridsph.device_worker; "
+                "print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestPhase4:

@@ -182,9 +182,9 @@ def test_state_codec_size_matches_emitted_bytes():
     back = sph.SIM_STATE_CODEC.deserialize(ByteReader(bytes(out)))
     assert particle_bits(back.particles[5]) == particle_bits(state.particles[5])
     assert back.gravity.cells == state.gravity.cells
-    # the receiving side rebuilds identical chains
-    assert back.index.heads == state.index.heads
-    assert back.index.next == state.index.next
+    # the receiving side rebuilds an identical index
+    assert back.index.order == state.index.order
+    assert back.index.start == state.index.start
 
 
 @given(st.binary(max_size=64))
