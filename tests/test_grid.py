@@ -48,16 +48,17 @@ def cell_members(index, c):
 
 
 class TestBuildIndex:
-    def test_empty_scene_all_cells_empty(self):
+    def test_empty_scene_all_heads_end(self):
         index = build_index([], GRID)
         assert index.order == []
         assert index.start == [0] * (GRID.cell_count + 1)
 
-    def test_descending_order_in_one_cell(self):
+    def test_prepend_order_in_one_cell(self):
         parts = [make_particle(i, 0.1, 0.1, 0.1) for i in range(3)]
         index = build_index(parts, GRID)
         c = cell_of((0.1, 0.1, 0.1), GRID)
-        # inside a cell, descending particle index
+        # inside a cell, descending particle index: the order a per-cell
+        # chain built by prepending in index order would walk
         assert cell_members(index, c) == [2, 1, 0]
         assert index.start[c + 1] - index.start[c] == 3
 
@@ -76,7 +77,7 @@ class TestBuildIndex:
         assert seen == index.order
         assert sorted(seen) == list(range(len(parts)))
 
-    def test_rebuild_replaces_stale_cells(self):
+    def test_rebuild_replaces_stale_chains(self):
         parts = [make_particle(0, -0.9, -0.9, -0.9)]
         index = build_index(parts, GRID)
         old_cell = cell_of((-0.9, -0.9, -0.9), GRID)
