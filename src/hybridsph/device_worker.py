@@ -5,14 +5,14 @@ parameters, and its one HELLO carries only the protocol version. The master
 thread owns the endpoint's receive side: it rebuilds the functor from
 FUNCTOR_STATE (the wire name) and the state blob that follows, starts the
 requested number of workers, decodes each WORK_BLOCK whole with
-``runtime.decode_block`` and puts one ``(block, position)`` task per item on
-a single queue (items carry no index; the host keeps those). The workers
-run the same take-and-apply loop as the host's, each result over its item:
-whoever applies a block's last item encodes the results in block order with
-``runtime.encode_block`` and sends RESULT_BLOCK and then its blob, which a
-lock keeps adjacent on the one outbound stream. Blocks return whole,
-possibly out of order, and their bytes do not depend on the order in which
-items complete.
+``runtime.decode_block`` and puts one ``(block, positions)`` task per worker
+slice on a single queue (items carry no index; the host keeps those). The
+workers apply a slice as one block, as the host's do, each result over its
+item: whoever applies a block's last slice encodes the results in block
+order with ``runtime.encode_block`` and the functor's result codec, and
+sends RESULT_BLOCK and then its blob, which a lock keeps adjacent on the
+one outbound stream. Blocks return whole, possibly out of order, and their
+bytes do not depend on the order in which slices complete.
 
 SHUTDOWN from the host ends the call. An apply or a result encode that
 raises, or a message the protocol does not allow, is answered with SHUTDOWN
@@ -36,7 +36,7 @@ import threading
 
 from . import functors  # noqa: F401  (registers the standard functor codecs)
 from . import transport
-from .runtime import WORK_BLOCK_MSG, decode_block, encode_block
+from .runtime import WORK_BLOCK_MSG, block_applier, decode_block, encode_block
 from .transport import (Endpoint, LinkConfig, Message, MessageKind,
                         TransportError)
 from .wire import ByteReader, decode_functor
@@ -44,14 +44,14 @@ from .wire import ByteReader, decode_functor
 
 class _Block:
     """One work block: its items, which the workers overwrite with results,
-    and the count of items not yet applied."""
+    and the count of slices not yet applied."""
 
     __slots__ = ("block_id", "items", "pending")
 
     def __init__(self, block_id: int, items: list):
         self.block_id = block_id
         self.items = items
-        self.pending = len(items)
+        self.pending = 0
 
 
 def _report_failure(endpoint: Endpoint, lock: threading.Lock,
@@ -66,17 +66,17 @@ def _report_failure(endpoint: Endpoint, lock: threading.Lock,
 
 def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
                  lock: threading.Lock) -> None:
-    """Apply tasks until the ``None`` sentinel. ``lock`` guards the pending
+    """Apply slices until the ``None`` sentinel. ``lock`` guards the pending
     counts and keeps each RESULT_BLOCK message next to its blob."""
-    apply = functor.apply
-    item_codec = functor.item_codec
+    apply_to = block_applier(functor)
+    codec = getattr(functor, "result_codec", functor.item_codec)
     while (task := tasks.get()) is not None:
-        block, pos = task
+        block, positions = task
         try:
-            block.items[pos] = apply(block.items[pos])
+            apply_to(block.items, positions)
         except Exception as exc:
             _report_failure(endpoint, lock,
-                            f"block {block.block_id} item {pos}: "
+                            f"block {block.block_id} items {positions}: "
                             f"{type(exc).__name__}: {exc}")
             return
         with lock:
@@ -84,7 +84,7 @@ def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
             if block.pending:
                 continue
         try:
-            out = encode_block(block.block_id, block.items, item_codec)
+            out = encode_block(block.block_id, block.items, codec)
             with lock:
                 endpoint.send_message(Message(
                     MessageKind.RESULT_BLOCK,
@@ -121,8 +121,11 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:
                 if functor is None:
                     raise ValueError("work block: no functor installed")
                 block = _Block(*decode_block(blob, functor.item_codec))
-                for pos in range(len(block.items)):
-                    tasks.put((block, pos))
+                n = len(block.items)
+                size = -(-n // worker_count) or 1
+                block.pending = len(range(0, n, size))
+                for lo in range(0, n, size):
+                    tasks.put((block, range(lo, min(lo + size, n))))
             else:
                 raise ValueError(f"unexpected message kind {msg.kind!r}")
     except TransportError:

@@ -1,20 +1,21 @@
 """Dynamic work distribution across host workers and coprocessor devices.
 
-``hybrid_for_each`` applies a functor to every item of a sequence. Host
-workers transform items in place with no serialization; each device serves
+``hybrid_for_each`` applies a functor to every item of a sequence. Every
+worker, host or device, applies a block of items at once, as TBB's
+``parallel_for`` does over a ``blocked_range`` (``block_applier``). Host
+workers write results in place with no serialization; each device serves
 one call: it gets the functor (plus shared state) once and then a stream of
-item blocks, batched to its worker count and shipped as single bulk
-transfers, with double buffering so the device rarely starves. One
-controller thread per device packs each block, sends it, waits for the
-result block and scatters it back to the indices it kept for that block
-(indices never cross the link), so completion order never affects the
-outcome. A device is the
+blocks of ``worker_count * chunk`` items, each one bulk transfer, with
+double buffering so the device rarely starves. One controller thread per
+device packs each block, sends it, waits for the result block and scatters
+it back to the indices it kept for that block (indices never cross the
+link), so completion order never affects the outcome. A device is the
 ``transport.DeviceHandle`` that ``connect_device`` or ``connect_devices``
 returns; the call it is passed to closes it on every path.
 
 This module alone knows the block format: ``encode_block`` writes a block
-payload (host work blocks and device result blocks alike) and
-``decode_block`` reads one on either side.
+payload (work blocks in the functor's ``item_codec``, result blocks in its
+``result_codec``, by default the same) and ``decode_block`` reads one.
 
 Work allocation is a single priority queue: a plain counter hands out fresh
 indices, and a high-priority list serves put-backs (the un-resulted items
@@ -146,6 +147,22 @@ def decode_block(blob: bytes | memoryview,
     return block_id, items
 
 
+def block_applier(functor):
+    """``apply_to(sequence, indices)`` sets each ``sequence[i]`` to its
+    result: one ``apply_block`` call, or ``apply`` per item without it."""
+    apply, apply_block = functor.apply, getattr(functor, "apply_block", None)
+
+    def apply_to(sequence, indices) -> None:
+        if apply_block is None:
+            for i in indices:
+                sequence[i] = apply(sequence[i])
+        else:
+            results = apply_block([sequence[i] for i in indices])
+            for i, value in zip(indices, results, strict=True):
+                sequence[i] = value
+    return apply_to
+
+
 @dataclass
 class DeviceSpec:
     """How to bring up one device: link parameters and worker count."""
@@ -231,19 +248,17 @@ def shared_pool() -> ThreadPoolExecutor:
 # ---------------------------------------------------------------------------
 
 def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int) -> int:
-    """Take-and-apply loop; items transform in place, no serialization.
-
-    Terminates on the first empty take. Returns the item count processed.
-    """
+    """Take-and-apply loop, ``chunk`` items per block; results replace the
+    items with no serialization. Returns the item count once a take is
+    empty."""
     done = 0
-    apply = functor.apply
+    apply_to = block_applier(functor)
     take = queue.take
     while not queue.aborted:
         indices = take(chunk)
         if not indices:
             break
-        for i in indices:
-            sequence[i] = apply(sequence[i])
+        apply_to(sequence, indices)
         done += len(indices)
     return done
 
@@ -252,7 +267,7 @@ def run_host_worker(queue: WorkQueue, sequence, functor, chunk: int) -> int:
 # Device controller
 # ---------------------------------------------------------------------------
 
-def _receive_result(ep, in_flight: dict, sequence, item_codec: Codec) -> int:
+def _receive_result(ep, in_flight: dict, sequence, codec: Codec) -> int:
     """Wait for the next result block and scatter it; returns its item count.
 
     The whole block is decoded and checked against the block sent (id and
@@ -272,7 +287,7 @@ def _receive_result(ep, in_flight: dict, sequence, item_codec: Codec) -> int:
         raise TransportError(f"malformed result announcement: {exc}") from exc
     blob = ep.recv_blob()
     try:
-        blk_id, results = decode_block(blob, item_codec)
+        blk_id, results = decode_block(blob, codec)
         if blk_id != bid:
             raise ValueError(f"block id {blk_id} does not match "
                              f"announcement {bid}")
@@ -289,15 +304,15 @@ def _receive_result(ep, in_flight: dict, sequence, item_codec: Codec) -> int:
 
 
 def run_device_controller(device: DeviceHandle, queue: WorkQueue,
-                          sequence, functor_name: str, functor_bytes: bytes,
-                          item_codec: Codec) -> dict:
+                          sequence, functor, functor_bytes: bytes,
+                          chunk: int) -> dict:
     """Drive one device through a full call, all on the calling thread.
 
-    Ships FUNCTOR_STATE (the wire name) and the functor bytes as a blob,
+    Ships FUNCTOR_STATE (the wire name) and ``functor_bytes`` as a blob,
     then loops: while fewer than ``HOT_BUFFERS`` blocks are un-resulted and
-    the queue has work, pack the next block and send it; then wait for one
-    result and scatter it to the indices kept for its block. When the queue is
-    exhausted and every sent block has come back, SHUTDOWN ends the call.
+    the queue has work, send a block of the next ``worker_count * chunk``
+    items; then scatter one result block to the indices kept for it. When
+    the queue is drained and every block is back, SHUTDOWN ends the call.
 
     If the device dies mid-call, reports a failure or returns a malformed
     result, its un-resulted indices go back to the queue at high priority
@@ -312,13 +327,15 @@ def run_device_controller(device: DeviceHandle, queue: WorkQueue,
     error = None
     block = bytearray()
     try:
+        item_codec = functor.item_codec
+        results_codec = getattr(functor, "result_codec", item_codec)
         ep.send_message(Message(MessageKind.FUNCTOR_STATE,
-                                encode_str(functor_name)))
+                                encode_str(functor.wire_name)))
         ep.send_blob(functor_bytes)
         while True:
             while len(in_flight) < HOT_BUFFERS:
                 packed = pack_block(queue, sequence, block, next_block_id,
-                                    device.worker_count, item_codec)
+                                    device.worker_count * chunk, item_codec)
                 if not packed:
                     break
                 # Recorded before sending, so a send that fails still
@@ -331,7 +348,7 @@ def run_device_controller(device: DeviceHandle, queue: WorkQueue,
             if not in_flight:
                 break  # queue drained and nothing outstanding
             items_done += _receive_result(ep, in_flight, sequence,
-                                          item_codec)
+                                          results_codec)
         ep.send_message(Message(MessageKind.SHUTDOWN))
     except TransportError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -358,10 +375,11 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceHandle] = (), *,
     """Apply ``functor`` to every item of ``sequence``, in place, using the
     host pool and every connected device.
 
-    Each item is transformed exactly once; items handled on the host never
-    touch a serializer, items handled on a device travel as bytes both ways
-    and the device's functor copy is discarded afterwards. Blocks until all
-    results are back in the sequence.
+    ``chunk`` is the number of items each worker applies at once. Each item
+    is transformed exactly once; items handled on the host never touch a
+    serializer, items handled on a device travel as bytes both ways and the
+    device's functor copy is discarded afterwards. Blocks until all results
+    are back in the sequence.
 
     ``devices`` are consumed: the call closes them, even when the functor
     cannot be encoded. A device lost mid-call only costs time; its pending
@@ -373,13 +391,12 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceHandle] = (), *,
     started = time.perf_counter()
 
     queue = WorkQueue(n)
-    functor_bytes = item_codec = None
+    functor_bytes = None
     if devices:
         # Encoded once, before any worker can mutate an item, so every
         # device receives the same pre-call snapshot.
         try:
             functor_bytes = encode_functor(functor)
-            item_codec = functor.item_codec
         except BaseException:
             for dev in devices:
                 dev.close()
@@ -391,8 +408,7 @@ def hybrid_for_each(sequence, functor, devices: Sequence[DeviceHandle] = (), *,
     def controller_main(dev: DeviceHandle):
         try:
             fragments.append(run_device_controller(
-                dev, queue, sequence, functor.wire_name, functor_bytes,
-                item_codec))
+                dev, queue, sequence, functor, functor_bytes, chunk))
         except BaseException as exc:
             # The call fails: stop handing out work, keep the call joinable,
             # then re-raise to the caller.

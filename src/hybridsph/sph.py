@@ -14,7 +14,7 @@ evaluate identical floating-point sequences. The scalar phase functions
 (``phase2_density_gravity``, ``phase3_pressure``) are loops over that walk
 and stay the reference. The step runs their array twins
 (``density_gravity_rows``, ``pressure_rows``): column sums over
-``SpatialIndex.table`` for a block of rows of a column snapshot
+``SpatialIndex.table`` for a list of rows of a column snapshot
 (``phase_columns``), which add the same terms in the same order and give
 the same bits. numpy is imported inside the functions that use it.
 """
@@ -407,11 +407,11 @@ def phase_columns(state: SimulationState, fields: Sequence[str]) -> dict:
     return cols
 
 
-def density_gravity_rows(state: SimulationState, cols: dict, lo: int,
-                         hi: int) -> tuple:
-    """:func:`phase2_density_gravity` for particles ``lo..hi-1`` of the
-    snapshot ``cols`` (fields ``mass``), as arrays with the same bits:
-    ``(density, pressure, ax, ay, az)``.
+def density_gravity_rows(state: SimulationState, cols: dict,
+                         rows: Sequence[int]) -> tuple:
+    """:func:`phase2_density_gravity` for the particles ``rows`` of the
+    snapshot ``cols`` (fields ``mass``), as arrays in ``rows`` order with
+    the same bits: ``(density, pressure, ax, ay, az)``.
 
     Each density starts at 0.0 and adds one neighbour column of
     ``SpatialIndex.table`` at a time, so every row adds the terms of the
@@ -421,21 +421,22 @@ def density_gravity_rows(state: SimulationState, cols: dict, lo: int,
 
     params = state.params
     h = params.h
-    xs, ys, zs = cols["x"][lo:hi], cols["y"][lo:hi], cols["z"][lo:hi]
+    rows = np.asarray(rows, dtype=np.intp)
+    xs, ys, zs = cols["x"][rows], cols["y"][rows], cols["z"][rows]
     idx, _, _, _, r2, valid = state.index.table(xs, ys, zs, h)
     w = cols["mass"][idx] * kernel_w_array(np.sqrt(r2), h)
-    rho = np.zeros(hi - lo)
+    rho = np.zeros(len(rows))
     for k in range(w.shape[1]):
         rho = np.where(valid[:, k], rho + w[:, k], rho)
     g = cols["gravity"][cell_ids(xs, ys, zs, state.gravity.grid)]
     return rho, params.k_eos * rho, g[:, 0], g[:, 1], g[:, 2]
 
 
-def pressure_rows(state: SimulationState, cols: dict, lo: int,
-                  hi: int) -> tuple:
-    """:func:`phase3_pressure` for particles ``lo..hi-1`` of the snapshot
+def pressure_rows(state: SimulationState, cols: dict,
+                  rows: Sequence[int]) -> tuple:
+    """:func:`phase3_pressure` for the particles ``rows`` of the snapshot
     ``cols`` (fields ``mass``, ``density``, ``pressure``, ``ax``, ``ay``,
-    ``az``), as arrays with the same bits: ``(ax, ay, az)``.
+    ``az``), as arrays in ``rows`` order with the same bits: ``ax, ay, az``.
 
     Each row starts from its own snapshot acceleration and subtracts one
     neighbour column at a time, skipping padded slots and ``r2 == 0`` as
@@ -445,18 +446,19 @@ def pressure_rows(state: SimulationState, cols: dict, lo: int,
     import numpy as np
 
     h = state.params.h
+    rows = np.asarray(rows, dtype=np.intp)
     mass, dens, prs = cols["mass"], cols["density"], cols["pressure"]
     idx, dx, dy, dz, r2, valid = state.index.table(
-        cols["x"][lo:hi], cols["y"][lo:hi], cols["z"][lo:hi], h)
-    d = dens[lo:hi]
+        cols["x"][rows], cols["y"][rows], cols["z"][rows], h)
+    d = dens[rows]
     dj = dens[idx]
     r = np.sqrt(r2)
     with np.errstate(divide="ignore", invalid="ignore"):  # r == 0 is skipped
-        self_term = prs[lo:hi] / (d * d)
+        self_term = prs[rows] / (d * d)
         coef = (mass[idx] * (self_term[:, None] + prs[idx] / (dj * dj))
                 * kernel_dw_array(r, h) / r)
     live = valid & (r2 > 0.0)
-    ax, ay, az = cols["ax"][lo:hi], cols["ay"][lo:hi], cols["az"][lo:hi]
+    ax, ay, az = cols["ax"][rows], cols["ay"][rows], cols["az"][rows]
     for k in range(coef.shape[1]):
         on = live[:, k]
         c = coef[:, k]
@@ -508,10 +510,9 @@ class SimStateCodec:
         cells = state.gravity.cells
         out += struct.pack(f"<{len(cells)}d", *cells)
         out += struct.pack("<Q", len(state.particles))
-        pack = _PARTICLE_STRUCT.pack
+        serialize = PARTICLE_CODEC.serialize
         for q in state.particles:
-            out += pack(q.id, q.material, q.x, q.y, q.z, q.mass, q.density,
-                        q.pressure, q.vx, q.vy, q.vz, q.ax, q.ay, q.az)
+            serialize(q, out)
 
     def deserialize(self, reader: ByteReader) -> SimulationState:
         vals = _PARAMS_STRUCT.unpack(reader.read_bytes(_PARAMS_STRUCT.size))
@@ -523,13 +524,8 @@ class SimStateCodec:
         count = 3 * grid.cell_count
         cells = list(struct.unpack(f"<{count}d", reader.read_bytes(8 * count)))
         gravity = GravityField(grid, cells)
-        n = reader.read_u64()
-        unpack_from = _PARTICLE_STRUCT.unpack_from
-        data = reader.data
-        particles = []
-        for _ in range(n):
-            off = reader._take(PARTICLE_WIRE_SIZE)
-            particles.append(Particle(*unpack_from(data, off)))
+        deserialize = PARTICLE_CODEC.deserialize
+        particles = [deserialize(reader) for _ in range(reader.read_u64())]
         state = SimulationState(particles=particles, params=params,
                                 gravity=gravity)
         state.index = build_index(particles, params.index_grid())
@@ -590,14 +586,14 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
                     host_workers: int = 1) -> StepTiming:
     """Advance the state by one step.
 
-    Phase 1 runs serially on the host. Phases 2 and 3 run through
-    hybrid_for_each with a fresh whole-state transfer per phase (devices are
-    connected per phase and discard their state copies afterwards). Each
-    phase's functor is built just before its call, because it snapshots
-    the state then: phase 3 reads the densities phase 2 wrote. The
-    snapshot counts in the phase's time. Phase 4 runs with local
-    parallelism only; shipping it would cost more in transfers than it
-    saves.
+    Phase 1 runs serially on the host. Phases 2 and 3 run hybrid_for_each
+    over the row ids, ``BLOCK_ROWS`` at a time, with a fresh whole-state
+    transfer per phase (devices are connected per phase and discard their
+    state copies afterwards), and write each row's result into its
+    particle. Each phase's functor is built just before its call, because
+    it snapshots the state then: phase 3 reads the densities phase 2 wrote.
+    The snapshot and the writes count in the phase's time. Phase 4 runs
+    with local parallelism only; shipping it costs more than it saves.
     """
     from . import functors
     from .runtime import connect_devices, hybrid_for_each
@@ -619,8 +615,12 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
         snapshot_s = time.perf_counter() - t0
         devices = connect_devices(device_specs)
         t0 = time.perf_counter()
-        stats = hybrid_for_each(state.particles, functor, devices,
-                                host_workers=host_workers)
+        results = list(range(n))  # row ids, each replaced by its result
+        stats = hybrid_for_each(results, functor, devices,
+                                host_workers=host_workers,
+                                chunk=functors.BLOCK_ROWS)
+        for p, row in zip(state.particles, results):
+            functor.write(p, row)
         setattr(timing, phase_name, snapshot_s + time.perf_counter() - t0)
         timing.stats.append(stats)
         timing.items_on_devices += stats.device_items

@@ -13,8 +13,8 @@ A codec is any object with two methods:
 ``deserialize`` of what ``serialize`` appended must reproduce the value
 bitwise (including NaN payloads and signed zeros). ``RecordCodec`` is how
 value functors declare their wire layout: one ``struct`` format over a
-dataclass's fields. Reads go through ``ByteReader``, whose bounds checks
-guard bytes that came from the other process.
+dataclass's fields (``TupleCodec``: over a tuple). Reads go through
+``ByteReader``, whose bounds checks guard bytes from the other process.
 
 How items are framed into blocks is ``runtime``'s business
 (``encode_block`` / ``decode_block``).
@@ -104,6 +104,16 @@ class StructCodec:
 
     def deserialize(self, reader: ByteReader) -> Any:
         return self._struct.unpack(reader.read_bytes(self._struct.size))[0]
+
+
+class TupleCodec(StructCodec):
+    """Codec for a tuple of the fields of one ``struct`` format."""
+
+    def serialize(self, value: tuple, out: bytearray) -> None:
+        out += self._struct.pack(*value)
+
+    def deserialize(self, reader: ByteReader) -> tuple:
+        return self._struct.unpack(reader.read_bytes(self._struct.size))
 
 
 class RecordCodec:

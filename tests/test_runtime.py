@@ -1,5 +1,7 @@
 """Hybrid runtime: packing, controllers, and the for-each contract."""
 
+import copy
+import random
 import re
 import struct
 import sys
@@ -9,7 +11,9 @@ from dataclasses import dataclass
 import pytest
 
 from hybridsph import cli, device_worker, runtime, sph, transport
-from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
+from hybridsph.functors import (BLOCK_ROWS, AffineAction, DensityGravityAction,
+                                JitterSleepAction, PressureForceAction,
+                                SleepAction)
 from hybridsph.runtime import (DeviceSpec, WorkQueue, connect_device,
                                decode_block, encode_block, hybrid_for_each,
                                pack_block, parse_block)
@@ -19,6 +23,8 @@ from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
                                  decode_message)
 from hybridsph.wire import (I32_CODEC, I64_CODEC, RecordCodec,
                             TruncatedInputError, register_functor)
+
+from conftest import particle_bits
 
 
 @dataclass
@@ -198,6 +204,32 @@ class TestHybridForEach:
         assert items == [v * 2 + 2 for v in range(100)]
         assert sum(stats.items_by_unit.values()) == 100
 
+    def test_device_slices_under_contention(self):
+        # Eight device workers share each block as eight slices, with more
+        # threads than cores and a short switch interval: a lost update of
+        # a block's pending count would send it twice or never.
+        dev = connect_device(DeviceSpec(worker_count=8, link=LinkConfig()), 0)
+        items = list(range(3000))
+        done = {}
+
+        def call():
+            done["stats"] = hybrid_for_each(items, AffineAction(3), [dev],
+                                            host_workers=2, chunk=5)
+
+        caller = threading.Thread(target=call, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "hybrid_for_each hung"
+        assert items == [v * 3 + 2 for v in range(3000)]
+        stats = done["stats"]
+        assert not stats.devices_lost, stats.device_errors
+        assert stats.device_items > 0
+
     def test_no_workers_no_devices_drains_on_caller(self):
         items = [5, 6]
         stats = hybrid_for_each(items, AffineAction(1), host_workers=0)
@@ -312,7 +344,69 @@ def _scripted_peer(ep, mode: str) -> None:
         ep.close()
 
 
+def _state_then_close_peer(ep) -> None:
+    """Device stand-in: takes the functor state and one work block, then
+    closes the link without a result."""
+    try:
+        for _ in range(2):
+            ep.recv_message()
+            ep.recv_blob()
+    except PeerClosedError:
+        pass
+    finally:
+        ep.close()
+
+
 class TestDeviceLoss:
+    @pytest.mark.parametrize("action, scalar", [
+        (DensityGravityAction, sph.phase2_density_gravity),
+        (PressureForceAction, sph.phase3_pressure)], ids=["phase2", "phase3"])
+    def test_device_lost_mid_phase_leaves_its_rows_to_the_host(self, action,
+                                                               scalar):
+        # The device takes a block of shuffled rows and is lost; the host
+        # applies the put-back rows, which are not contiguous, as blocks,
+        # with the bits of the scalar reference.
+        state = sph.make_scene(700, seed=5)
+        sph.phase1_prepare(state)
+        if scalar is sph.phase3_pressure:
+            for p in state.particles:
+                sph.phase2_density_gravity(state, p)
+        want = [particle_bits(scalar(state, copy.copy(p)))
+                for p in state.particles]
+        applied = []
+
+        class Watched(action):
+            __slots__ = ()
+
+            def apply_block(self, rows):
+                applied.append(list(rows))
+                return super().apply_block(rows)
+
+        n = len(state.particles)
+        order = random.Random(5).sample(range(n), n)
+        items = list(order)
+        host_ep, dev_ep = create_endpoint_pair(LinkConfig())
+        peer = threading.Thread(target=_state_then_close_peer, args=(dev_ep,))
+        peer.start()
+        dev = DeviceHandle(host_ep, 2, master_thread=peer)
+        functor = Watched(state)
+        stats = hybrid_for_each(items, functor, [dev], host_workers=0,
+                                chunk=BLOCK_ROWS)
+        peer.join(timeout=10.0)
+        assert not peer.is_alive()
+        assert stats.devices_lost == ["device/0"]
+        assert "PeerClosedError" in stats.device_errors["device/0"]
+        assert stats.items_by_unit["host/drain"] == n
+        assert sorted(r for rows in applied for r in rows) == list(range(n))
+        assert all(len(rows) > 1 and rows != sorted(rows) for rows in applied)
+        results = dict(zip(order, items))
+        got = []
+        for i, p in enumerate(state.particles):
+            q = copy.copy(p)
+            functor.write(q, results[i])
+            got.append(particle_bits(q))
+        assert got == want
+
     @pytest.mark.parametrize("mode", ["close", "truncated", "wrong-count",
                                       "unknown-block", "short-announcement",
                                       "unknown-kind"])

@@ -8,7 +8,6 @@ import random
 import struct
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -383,20 +382,28 @@ class TestPhase3:
 
 def phases_both_ways(particles, params, seed=0):
     """Phases 1-3 on two copies of ``particles``: through the step's
-    actions (applied in a shuffled order) and through the scalar reference.
-    Returns the bits of both after phase 2 and after phase 3."""
+    actions (``apply_block`` over shuffled rows, in groups of random size)
+    and through the scalar reference. Returns the bits of both after
+    phase 2 and after phase 3."""
     fast = SimulationState([copy.copy(p) for p in particles], params)
     ref = SimulationState([copy.copy(p) for p in particles], params)
     phase1_prepare(fast)
     phase1_prepare(ref)
+    rng = random.Random(seed)
     order = list(range(len(particles)))
-    random.Random(seed).shuffle(order)
+    rng.shuffle(order)
     out = []
     for action, scalar in ((DensityGravityAction, phase2_density_gravity),
                            (PressureForceAction, phase3_pressure)):
         functor = action(fast)
-        for i in order:
-            functor.apply(fast.particles[i])
+        results = {}
+        lo = 0
+        while lo < len(order):
+            rows = order[lo:lo + rng.randint(1, 300)]
+            results.update(zip(rows, functor.apply_block(rows)))
+            lo += len(rows)
+        for i, p in enumerate(fast.particles):
+            functor.write(p, results[i])
         for p in ref.particles:
             scalar(ref, p)
         out.append(([particle_bits(p) for p in fast.particles],
@@ -444,72 +451,32 @@ class TestArrayPhases:
     def test_bits_do_not_depend_on_row_grouping(self):
         state = prepared_state(600, seed=19, equal_mass=False)
         n = len(state.particles)
+        shuffled = random.Random(19).sample(range(n), n)
         for rows, fields in (
                 (density_gravity_rows, ("mass",)),
                 (pressure_rows, ("mass", "density", "pressure",
                                  "ax", "ay", "az"))):
             cols = phase_columns(state, fields)
-            whole = np.stack(rows(state, cols, 0, n), axis=1)
-            singles = np.concatenate([np.stack(rows(state, cols, i, i + 1),
+            whole = np.stack(rows(state, cols, list(range(n))), axis=1)
+            singles = np.concatenate([np.stack(rows(state, cols, [i]),
                                                axis=1) for i in range(n)])
             assert whole.tobytes() == singles.tobytes()
+            # Any order and grouping of rows gives each row the same bits.
+            mixed = np.empty_like(whole)
+            for lo in range(0, n, 77):
+                part = shuffled[lo:lo + 77]
+                mixed[part] = np.stack(rows(state, cols, part), axis=1)
+            assert mixed.tobytes() == whole.tobytes()
 
-    def test_each_block_computed_once_under_contention(self):
-        # More threads than cores and a short switch interval: a block that
-        # two threads both computed, or a row read before its block was
-        # stored, would show in the call count or the bits.
-        state = prepared_state(1200, seed=4)
-        calls = []
-
-        class Counted(DensityGravityAction):
-            __slots__ = ()
-
-            @staticmethod
-            def rows(*args):
-                calls.append(args[2])
-                return density_gravity_rows(*args)
-
-        functor = Counted(state)
-        copies = [[copy.copy(p) for p in state.particles] for _ in range(6)]
-        for p in (p for parts in copies for p in parts):
-            p.density = p.pressure = p.ax = p.ay = p.az = 0.0
-
-        def work(k):
-            parts = copies[k]
-            for i in random.Random(k).sample(range(len(parts)), len(parts)):
-                functor.apply(parts[i])
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(calls) == list(range(0, 1200, 256))
-        want = [particle_bits(p) for p in state.particles]
-        for parts in copies:
-            assert [particle_bits(p) for p in parts] == want
-
-    def test_apply_rejects_a_particle_of_another_row(self):
+    def test_row_past_the_end_raises_index_error(self):
         state = prepared_state(50, seed=2)
         for action in (DensityGravityAction, PressureForceAction):
             functor = action(state)
-            stranger = copy.copy(state.particles[3])
-            stranger.id = 4
-            with pytest.raises(ValueError):
-                functor.apply(stranger)
-            stranger.id = 50  # past the last row
-            with pytest.raises(ValueError):
-                functor.apply(stranger)
-            moved = copy.copy(state.particles[3])
-            moved.x = math.nextafter(moved.x, math.inf)
-            with pytest.raises(ValueError):
-                functor.apply(moved)
+            with pytest.raises(IndexError):
+                functor.apply(50)
+            with pytest.raises(IndexError):
+                functor.apply_block([3, 50, 4])
+            assert functor.apply(49) == functor.apply_block([0, 49])[1]
 
     def test_device_worker_import_leaves_numpy_unloaded(self):
         # A subprocess device pays for every import at each connect.

@@ -8,9 +8,11 @@ import time
 
 import pytest
 
-from hybridsph.functors import AffineAction, DensityGravityAction
-from hybridsph.runtime import DeviceSpec, connect_device, hybrid_for_each
-from hybridsph.sph import make_scene, phase1_prepare
+from hybridsph.functors import (AffineAction, BLOCK_ROWS,
+                                DensityGravityAction, PressureForceAction)
+from hybridsph.runtime import (DeviceSpec, connect_device, hybrid_for_each,
+                               parse_block)
+from hybridsph.sph import make_scene, phase1_prepare, phase2_density_gravity
 from hybridsph.transport import (PROTOCOL_VERSION, HandshakeTimeoutError,
                                  LinkConfig, Message, MessageKind,
                                  PeerClosedError, SpawnError, TraceRecorder,
@@ -295,10 +297,10 @@ class TestTransportEquivalence:
 
 
 # SHA-256 over every endpoint event of the golden schedule (in-process, then
-# subprocess) and of a 300-particle phase-2 call; pins each wire byte of
-# protocol 4.
+# subprocess) and of a 300-row phase-2 call in blocks of BLOCK_ROWS rows;
+# pins each wire byte of protocol 4.
 GOLDEN_WIRE_SHA256 = (
-    "24de086dae2251908af3507bb36ae59e5ee30f488854d9c28274a08663c24064")
+    "a01d65ce88bce9cb490b1a1a3c2901e43ff36c72dc63ccdd4727fdf5229365ab")
 
 
 def test_golden_wire_digest():
@@ -308,8 +310,8 @@ def test_golden_wire_digest():
     traces.append(TraceRecorder())
     dev = connect_device(DeviceSpec(worker_count=1, link=LinkConfig()), 0,
                          trace=traces[-1])
-    stats = hybrid_for_each(state.particles, DensityGravityAction(state),
-                            [dev], host_workers=0)
+    stats = hybrid_for_each(list(range(300)), DensityGravityAction(state),
+                            [dev], host_workers=0, chunk=BLOCK_ROWS)
     assert stats.device_items == 300
     digest = hashlib.sha256()
     for trace in traces:
@@ -317,3 +319,31 @@ def test_golden_wire_digest():
             digest.update(name.encode() + len(data).to_bytes(8, "little")
                           + data)
     assert digest.hexdigest() == GOLDEN_WIRE_SHA256
+
+
+@pytest.mark.parametrize("action, result_size", [
+    (DensityGravityAction, 40), (PressureForceAction, 24)],
+    ids=["phase2", "phase3"])
+def test_offloaded_row_sends_its_id_and_gets_its_fields(action, result_size):
+    # A row goes out as its u32 id and comes back as the f64 fields its
+    # phase writes: 44 B per row for phase 2 and 28 B for phase 3, plus a
+    # 12-byte header per block.
+    state = make_scene(700, seed=4)
+    phase1_prepare(state)
+    for p in state.particles:
+        phase2_density_gravity(state, p)
+    trace = TraceRecorder()
+    dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0,
+                         trace=trace)
+    stats = hybrid_for_each(list(range(700)), action(state), [dev],
+                            host_workers=0, chunk=BLOCK_ROWS)
+    assert stats.device_items == 700
+    work = trace.frames("send_blob")[1:]  # after the functor state
+    for blobs, row_size in ((work, 4), (trace.frames("recv_blob"),
+                                        result_size)):
+        counts = [parse_block(blob)[1] for blob in blobs]
+        # Two device workers: blocks of 2 * BLOCK_ROWS rows; results may
+        # come back in either order.
+        assert sorted(counts) == [700 - 2 * BLOCK_ROWS, 2 * BLOCK_ROWS]
+        assert [len(blob) for blob in blobs] == [12 + row_size * k
+                                                 for k in counts]

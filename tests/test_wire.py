@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hybridsph import sph
 from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
 from hybridsph.sph import PARTICLE_CODEC, PARTICLE_WIRE_SIZE, Particle
-from hybridsph.wire import (ByteReader, TruncatedInputError, decode_functor,
-                            encode_functor, encode_str)
+from hybridsph.wire import (ByteReader, TruncatedInputError, TupleCodec,
+                            decode_functor, encode_functor, encode_str)
 
 from conftest import particle_bits
 
@@ -121,6 +121,43 @@ def test_special_float_values_roundtrip():
         PARTICLE_CODEC.serialize(p, out)
         q = PARTICLE_CODEC.deserialize(ByteReader(bytes(out)))
         assert particle_bits(q) == particle_bits(p)
+
+
+# +-0.0, +-inf, NaNs with payloads (quiet, signalling, negative) and
+# subnormals, as bit patterns.
+SPECIAL_DOUBLES = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+                   for bits in (0x0000000000000000, 0x8000000000000000,
+                                0x7FF0000000000000, 0xFFF0000000000000,
+                                0x7FF8000000000000, 0x7FF0000000000001,
+                                0xFFF80000DEADBEEF, 0x0000000000000001,
+                                0x800FFFFFFFFFFFFF)]
+
+
+def assert_tuple_roundtrip(values: tuple) -> None:
+    for fmt in ("<5d", "<3d"):
+        k = struct.calcsize(fmt) // 8
+        codec = TupleCodec(fmt)
+        out = bytearray(b"head")
+        codec.serialize(values[:k], out)
+        assert out[4:] == struct.pack(fmt, *values[:k])
+        r = ByteReader(bytes(out), 4)
+        back = codec.deserialize(r)
+        assert r.remaining == 0
+        assert type(back) is tuple and len(back) == k
+        assert struct.pack(fmt, *back) == out[4:]
+
+
+def test_tuple_codec_special_values_roundtrip():
+    specials = SPECIAL_DOUBLES
+    for i in range(len(specials)):
+        assert_tuple_roundtrip(tuple(specials[i:] + specials[:i]))
+
+
+@given(st.lists(st.one_of(finite_or_weird, st.sampled_from(SPECIAL_DOUBLES)),
+                min_size=5, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_tuple_codec_roundtrip_bitwise(values):
+    assert_tuple_roundtrip(tuple(values))
 
 
 class EmptyCodec:
