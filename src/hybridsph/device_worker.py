@@ -29,6 +29,7 @@ whole link over it.
 from __future__ import annotations
 
 import argparse
+import os
 import queue
 import socket
 import sys
@@ -36,7 +37,8 @@ import threading
 
 from . import functors  # noqa: F401  (registers the standard functor codecs)
 from . import transport
-from .runtime import WORK_BLOCK_MSG, block_applier, decode_block, encode_block
+from .runtime import (WORK_BLOCK_MSG, block_applier, decode_block,
+                      encode_block, result_codec)
 from .transport import (Endpoint, LinkConfig, Message, MessageKind,
                         TransportError)
 from .wire import ByteReader, decode_functor
@@ -48,10 +50,10 @@ class _Block:
 
     __slots__ = ("block_id", "items", "pending")
 
-    def __init__(self, block_id: int, items: list):
+    def __init__(self, block_id: int, items: list, pending: int):
         self.block_id = block_id
         self.items = items
-        self.pending = 0
+        self.pending = pending
 
 
 def _report_failure(endpoint: Endpoint, lock: threading.Lock,
@@ -69,7 +71,7 @@ def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
     """Apply slices until the ``None`` sentinel. ``lock`` guards the pending
     counts and keeps each RESULT_BLOCK message next to its blob."""
     apply_to = block_applier(functor)
-    codec = getattr(functor, "result_codec", functor.item_codec)
+    codec = result_codec(functor)
     while (task := tasks.get()) is not None:
         block, positions = task
         try:
@@ -120,12 +122,14 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:
                 blob = endpoint.recv_blob()
                 if functor is None:
                     raise ValueError("work block: no functor installed")
-                block = _Block(*decode_block(blob, functor.item_codec))
-                n = len(block.items)
+                block_id, items = decode_block(blob, functor.item_codec)
+                n = len(items)
                 size = -(-n // worker_count) or 1
-                block.pending = len(range(0, n, size))
-                for lo in range(0, n, size):
-                    tasks.put((block, range(lo, min(lo + size, n))))
+                slices = [range(lo, min(lo + size, n))
+                          for lo in range(0, n, size)]
+                block = _Block(block_id, items, len(slices))
+                for positions in slices:
+                    tasks.put((block, positions))
             else:
                 raise ValueError(f"unexpected message kind {msg.kind!r}")
     except TransportError:
@@ -172,4 +176,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The host waits for this process to exit inside its call, so skip the
+    # interpreter's teardown (30-60 ms with numpy loaded), as
+    # multiprocessing's children do.
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

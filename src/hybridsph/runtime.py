@@ -147,6 +147,12 @@ def decode_block(blob: bytes | memoryview,
     return block_id, items
 
 
+def result_codec(functor) -> Codec:
+    """The codec of ``functor``'s results: ``result_codec``, else its
+    ``item_codec``."""
+    return getattr(functor, "result_codec", functor.item_codec)
+
+
 def block_applier(functor):
     """``apply_to(sequence, indices)`` sets each ``sequence[i]`` to its
     result: one ``apply_block`` call, or ``apply`` per item without it."""
@@ -327,8 +333,7 @@ def run_device_controller(device: DeviceHandle, queue: WorkQueue,
     error = None
     block = bytearray()
     try:
-        item_codec = functor.item_codec
-        results_codec = getattr(functor, "result_codec", item_codec)
+        item_codec, results_codec = functor.item_codec, result_codec(functor)
         ep.send_message(Message(MessageKind.FUNCTOR_STATE,
                                 encode_str(functor.wire_name)))
         ep.send_blob(functor_bytes)
