@@ -125,11 +125,10 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:
                 block_id, items = decode_block(blob, functor.item_codec)
                 n = len(items)
                 size = -(-n // worker_count) or 1
-                slices = [range(lo, min(lo + size, n))
-                          for lo in range(0, n, size)]
-                block = _Block(block_id, items, len(slices))
-                for positions in slices:
-                    tasks.put((block, positions))
+                starts = range(0, n, size)  # one task per worker slice
+                block = _Block(block_id, items, len(starts))
+                for lo in starts:
+                    tasks.put((block, range(lo, min(lo + size, n))))
             else:
                 raise ValueError(f"unexpected message kind {msg.kind!r}")
     except TransportError:
@@ -176,10 +175,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # The host waits for this process to exit inside its call, so skip the
-    # interpreter's teardown (30-60 ms with numpy loaded), as
-    # multiprocessing's children do.
-    code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    # The host waits for this exit inside its call; skip the teardown (35-70
+    # ms on 2 cores with numpy loaded), as multiprocessing's children do.
+    os._exit(main())

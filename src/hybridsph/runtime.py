@@ -148,8 +148,7 @@ def decode_block(blob: bytes | memoryview,
 
 
 def result_codec(functor) -> Codec:
-    """The codec of ``functor``'s results: ``result_codec``, else its
-    ``item_codec``."""
+    """``functor.result_codec``, by default its ``item_codec``."""
     return getattr(functor, "result_codec", functor.item_codec)
 
 

@@ -516,7 +516,7 @@ class TestHygiene:
         assert items == [v + 1 for v in range(40)]
         assert threading.active_count() == before
         if kind == "subprocess":
-            assert dev._process.poll() is not None
+            assert dev._process.poll() == 0  # exited, and cleanly
 
         # A functor that cannot be encoded fails the call before any block
         # is sent; the device it was given is closed all the same.
