@@ -32,7 +32,6 @@ import argparse
 import os
 import queue
 import socket
-import sys
 import threading
 
 from . import functors  # noqa: F401  (registers the standard functor codecs)
