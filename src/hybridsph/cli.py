@@ -9,12 +9,12 @@ connection costs, which are part of the work a run performs.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import functors, render, sph
@@ -225,10 +225,14 @@ def parse_config(argv: list[str]) -> RunConfig:
     return cfg
 
 
+_PARTICLE_FIELDS = attrgetter(*(f.name for f in fields(sph.Particle)))
+
+
 def snapshot_particles(state: sph.SimulationState) -> sph.SimulationState:
     """Copy a state for rendering while the next step mutates the original."""
     return sph.SimulationState(
-        particles=[copy.copy(p) for p in state.particles],
+        particles=[sph.Particle(*_PARTICLE_FIELDS(p))
+                   for p in state.particles],
         params=state.params)
 
 

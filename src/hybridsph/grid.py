@@ -12,9 +12,10 @@ This is the only module that knows cell geometry. One clamp
 cell for index builds, point lookups and query cubes alike; positions
 outside the grid region clamp to the boundary cells, so queries stay
 complete for an unbounded scene. One query, ``SpatialIndex.within``, serves
-every scalar neighbour sum (SPH reference phases, field evaluation, volume
-rendering); ``SpatialIndex.table`` answers many queries at once as padded
-arrays in the same order, for the array form of the SPH phases;
+every scalar neighbour sum: the SPH reference phases, field evaluation and
+the renderer's reference sampler. ``SpatialIndex.table`` answers many
+queries at once as padded arrays in the same order, for the array forms of
+the SPH phases and of the renderer, which the program runs;
 ``neighbor_candidates`` is the unfiltered reference enumerator over the
 same cells in the same order.
 

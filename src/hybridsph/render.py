@@ -1,23 +1,33 @@
 """Volume ray casting of a particle state snapshot.
 
-One pinhole ray per pixel, density sampled at fixed intervals along it via
-``SpatialIndex.within``, front-to-back emission-absorption compositing with
-early exit once the pixel is effectively opaque. Sampling is jitter-free
-(interval midpoints) and accumulation is linear-light. Rows are the items of
-a ``hybrid_for_each`` call; each row comes back as its own bytes, so the
+One pinhole ray per pixel, density sampled at fixed intervals along it,
+front-to-back emission-absorption compositing with early exit once the
+pixel is effectively opaque. Sampling is jitter-free (interval midpoints)
+and accumulation is linear-light. Rows are the items of a host-only
+``hybrid_for_each`` call; each row comes back as its own bytes, so the
 output is identical for any worker count.
 
-That call is host-only: snapshots never ship to devices.
+A row is an array program: every sample point of every ray of the row is
+queried through ``SpatialIndex.table``, at most ``_TABLE_POINTS`` points per
+call, and the density and colour sums add one neighbour column at a time,
+in the order of the scalar sum. The per-ray compositing loop then runs over
+those samples. ``composite_ray`` with ``sample_medium`` is the scalar
+reference: it walks ``SpatialIndex.within`` one sample at a time, and every
+pixel and sample count of a frame equals it bitwise. numpy is imported
+inside the functions that use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .grid import build_index
+from .grid import build_index, columns
 from .runtime import hybrid_for_each
-from .sph import SimulationState, kernel_w
+from .sph import SimulationState, kernel_w, kernel_w_array
+
+_TABLE_POINTS = 1024  # sample points per SpatialIndex.table call
 
 DEFAULT_PALETTE = (
     (1.00, 0.88, 0.62),   # core material
@@ -196,40 +206,57 @@ def composite_ray(state: SimulationState, ray, params: RenderParams,
     exactly nothing, so the result is bit-identical to the full march.
     """
     origin, direction = ray
-    half = params.step / 2.0
-    kmax = int((params.max_distance - half) / params.step)
-    if kmax < 0:
-        kmax = -1
-    k0, k1 = 0, kmax
-
     if sample_fn is None:
         if bounds is None:
             bounds = _particle_bounds(state, state.params.h)
-        if bounds is None:
-            k1 = -1
-        else:
-            clipped = _clip_to_box(origin, direction, bounds[0], bounds[1],
-                                   0.0, params.max_distance)
-            if clipped is None:
-                k1 = -1
-            else:
-                # Widen by one sample each way: boundary samples have zero
-                # density, and the slack absorbs float rounding in k.
-                k0 = max(0, int((clipped[0] - half) / params.step) - 1)
-                k1 = min(kmax, int((clipped[1] - half) / params.step) + 1)
+        k0, k1 = _sample_span(origin, direction, params, bounds)
         palette = params.palette
         sample_fn = lambda pt: sample_medium(state, pt, palette)  # noqa: E731
+    else:
+        k0, k1 = 0, _last_sample(params)
 
+    half = params.step / 2.0
     ox, oy, oz = origin
     dx, dy, dz = direction
+    samples = (sample_fn((ox + t * dx, oy + t * dy, oz + t * dz))
+               for t in (half + k * params.step for k in range(k0, k1 + 1)))
+    return _composite(samples, params, alpha_trace, stats)
+
+
+def _last_sample(params: RenderParams) -> int:
+    """Number ``k`` of the last sample within ``max_distance``; -1 for none."""
+    return max(-1, int((params.max_distance - params.step / 2.0)
+                       / params.step))
+
+
+def _sample_span(origin, direction, params: RenderParams, bounds):
+    """First and last sample number of a ray through the particle box
+    ``bounds`` (``k1 < k0`` when it takes none; ``bounds`` is None for an
+    empty scene)."""
+    if bounds is None:
+        return 0, -1
+    clipped = _clip_to_box(origin, direction, bounds[0], bounds[1],
+                           0.0, params.max_distance)
+    if clipped is None:
+        return 0, -1
+    # Widen by one sample each way: boundary samples have zero density, and
+    # the slack absorbs float rounding in k.
+    half = params.step / 2.0
+    return (max(0, int((clipped[0] - half) / params.step) - 1),
+            min(_last_sample(params),
+                int((clipped[1] - half) / params.step) + 1))
+
+
+def _composite(samples, params: RenderParams, alpha_trace=None, stats=None):
+    """Front-to-back compositing of ``(density, color)`` samples in march
+    order, with the early exit and the background fill of
+    :func:`composite_ray`. Samples after the exit are never drawn."""
     sigma_dt = params.absorption * params.step
     limit = params.early_exit_alpha
     acc_r = acc_g = acc_b = 0.0
     alpha = 0.0
     taken = 0
-    for k in range(k0, k1 + 1):
-        t = half + k * params.step
-        rho, color = sample_fn((ox + t * dx, oy + t * dy, oz + t * dz))
+    for rho, color in samples:
         taken += 1
         if rho > 0.0:
             a = 1.0 - math.exp(-sigma_dt * rho)
@@ -259,31 +286,92 @@ def _quantize(c: float) -> int:
 
 class _RowAction:
     """Host-only ``hybrid_for_each`` functor: a row index becomes that row's
-    RGB bytes and the number of samples its rays took."""
+    RGB bytes and the number of samples its rays composited."""
 
     def __init__(self, state: SimulationState, camera: Camera,
                  params: RenderParams):
+        import numpy as np
+
         self.state = state
         self.camera = camera
         self.params = params
         self.basis = camera.basis()
         self.tan_half = math.tan(camera.fov / 2.0)
         self.bounds = _particle_bounds(state, state.params.h)
+        parts = state.particles
+        (self.mass,) = columns(parts, ("mass",))
+        material = np.fromiter(map(attrgetter("material"), parts), np.int64,
+                               len(parts))
+        palette = np.asarray(params.palette, dtype=np.float64)
+        # palette[min(material, last)] of every particle, per channel.
+        self.colors = palette[np.minimum(material, len(palette) - 1)].T
+
+    def _sample(self, xs, ys, zs):
+        """``sample_medium`` at every point: density and the three colour
+        sums as a ``(4, points)`` array, each with the scalar sum's bits.
+
+        Each sum starts at 0.0 and adds one neighbour column of
+        ``SpatialIndex.table`` at a time, skipping padded slots with
+        ``np.where``, so it adds the scalar loop's terms in its order.
+        """
+        import numpy as np
+
+        h = self.state.params.h
+        table = self.state.index.table
+        out = np.zeros((4, len(xs)))
+        for s in range(0, len(xs), _TABLE_POINTS):
+            e = s + _TABLE_POINTS
+            idx, _, _, _, r2, valid = table(xs[s:e], ys[s:e], zs[s:e], h)
+            w = self.mass[idx] * kernel_w_array(np.sqrt(r2), h)
+            terms = (w, *(w * c[idx] for c in self.colors))
+            sums = list(out[:, s:e])
+            for k in range(w.shape[1]):
+                on = valid[:, k]
+                sums = [np.where(on, a + t[:, k], a)
+                        for a, t in zip(sums, terms)]
+            out[:, s:e] = sums
+        return out
 
     def apply(self, py: int) -> tuple[bytes, int]:
-        camera = self.camera
-        w = camera.resolution[0]
-        row = bytearray(3 * w)
         stats = RenderStats()
+        colors = self.ray_colors(py, stats)
+        return bytes(_quantize(c) for rgb in colors for c in rgb), stats.samples
+
+    def ray_colors(self, py: int, stats: RenderStats) -> list[tuple]:
+        """Unquantized colour of every ray of row ``py``, each equal to its
+        ``composite_ray`` bitwise; the samples composited go to ``stats``."""
+        import numpy as np
+
+        camera = self.camera
+        params = self.params
+        w = camera.resolution[0]
+        spans = []
+        directions = []
         for px in range(w):
-            ray = (camera.origin, _pixel_direction(camera, self.basis,
-                                                   self.tan_half, px, py))
-            r, g, b = composite_ray(self.state, ray, self.params, stats=stats,
-                                    bounds=self.bounds)
-            row[3 * px] = _quantize(r)
-            row[3 * px + 1] = _quantize(g)
-            row[3 * px + 2] = _quantize(b)
-        return bytes(row), stats.samples
+            d = _pixel_direction(camera, self.basis, self.tan_half, px, py)
+            spans.append(_sample_span(camera.origin, d, params, self.bounds))
+            directions.append(d)
+        counts = [max(0, k1 - k0 + 1) for k0, k1 in spans]
+        # Every sample point of every ray, ray by ray, as composite_ray
+        # forms them: t = step/2 + k*step, then origin + t*direction.
+        k = np.concatenate([np.arange(k0, k1 + 1) for k0, k1 in spans])
+        t = params.step / 2.0 + k * params.step
+        d = np.repeat(np.asarray(directions), counts, axis=0)
+        ox, oy, oz = camera.origin
+        rho, cr, cg, cb = self._sample(ox + t * d[:, 0], oy + t * d[:, 1],
+                                       oz + t * d[:, 2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # rho <= 0 gives no colour: the compositor skips that sample.
+            colors = list(zip(*(c.tolist() for c in (cr / rho, cg / rho,
+                                                     cb / rho))))
+        rho = rho.tolist()
+        out = []
+        end = 0
+        for n in counts:
+            start, end = end, end + n
+            out.append(_composite(zip(rho[start:end], colors[start:end]),
+                                  params, stats=stats))
+        return out
 
 
 def render_frame(state: SimulationState, camera: Camera,

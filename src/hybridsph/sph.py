@@ -33,7 +33,7 @@ from .grid import (GridSpec, SpatialIndex, build_index, cell_coords, cell_ids,
 from .wire import ByteReader
 
 _PI = math.pi
-_GRAVITY_CHUNK = 64  # cells per block of the gravity sum
+_GRAVITY_CHUNK = 32  # cells per block of the gravity sum
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import hashlib
 import math
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -17,9 +19,9 @@ from hybridsph.sph import Particle, SimParams, SimulationState
 from conftest import brute_density, lone_particle_positions, rel_err
 
 
-def small_scene(n=60, seed=2, span=0.4):
+def small_scene(n=60, seed=2, span=0.4, materials=3):
     rng = random.Random(seed)
-    parts = [Particle(id=i, material=rng.randrange(3),
+    parts = [Particle(id=i, material=rng.randrange(materials),
                       x=rng.uniform(-span, span), y=rng.uniform(-span, span),
                       z=rng.uniform(-span, span), mass=1.0 / n)
              for i in range(n)]
@@ -256,6 +258,94 @@ class TestRenderFrame:
                 rgb = composite_ray(state, generate_ray(cam, px, py), params)
                 digest.update(struct.pack("<3d", *rgb))
         assert digest.hexdigest() == GOLDEN_RAYS_SHA256
+
+
+def assert_rows_equal_scalar_march(state, camera, params):
+    """Every pixel and the sample count of ``render_frame``, and the
+    unquantized colour of every ray of its rows, equal ``composite_ray``."""
+    stats = RenderStats()
+    img = render_frame(state, camera, params, workers=2, stats=stats)
+    rows = render._RowAction(state, camera, params)
+    want = RenderStats()
+    pixels = bytearray()
+    w, h = camera.resolution
+    for py in range(h):
+        colors = [composite_ray(state, generate_ray(camera, px, py), params,
+                                stats=want)
+                  for px in range(w)]
+        assert rows.ray_colors(py, RenderStats()) == colors, py
+        pixels += bytes(render._quantize(c) for rgb in colors for c in rgb)
+    assert img.pixels == pixels
+    assert stats.samples == want.samples
+    return pixels, want.samples
+
+
+def lone_scene(*positions, mass=0.02):
+    """Particles of material ``i % 3`` at the given positions."""
+    parts = [Particle(id=i, material=i % 3, x=x, y=y, z=z, mass=mass)
+             for i, (x, y, z) in enumerate(positions)]
+    return SimulationState(particles=parts, params=SimParams())
+
+
+ARRAY_CASES = {
+    "empty": lambda: (SimulationState(particles=[], params=SimParams()),
+                      Camera(resolution=(8, 6)),
+                      RenderParams(background=(0.2, 0.4, 0.6))),
+    "one-particle": lambda: (lone_scene((0.05, -0.02, 0.1)),
+                             Camera(resolution=(16, 12), fov=0.4),
+                             RenderParams()),
+    "coincident-pair-at-minus-zero": lambda: (
+        lone_scene((0.0, -0.0, 0.0), (0.0, -0.0, 0.0), mass=0.01),
+        Camera(resolution=(16, 16), fov=0.3), RenderParams()),
+    "materials-past-the-palette": lambda: (
+        small_scene(n=60, seed=5, materials=5),
+        Camera(resolution=(14, 10)),
+        RenderParams(palette=((0.9, 0.1, 0.3), (0.2, 0.7, 0.5)))),
+    "zero-absorption": lambda: (small_scene(n=40, seed=6),
+                                Camera(resolution=(10, 10)),
+                                RenderParams(absorption=0.0,
+                                             background=(0.3, 0.3, 0.3))),
+    "no-early-exit": lambda: (small_scene(n=80, seed=7),
+                              Camera(resolution=(12, 12)),
+                              RenderParams(early_exit_alpha=1.0,
+                                           absorption=200.0)),
+    "camera-inside-the-box": lambda: (
+        small_scene(n=80, seed=8),
+        Camera(origin=(0.05, 0.0, 0.1), resolution=(12, 10), fov=2.0),
+        RenderParams(step=0.03)),
+}
+
+
+class TestArrayRows:
+    """``render_frame`` samples each row as an array program; every pixel
+    and the sample count must equal the scalar ``composite_ray`` march."""
+
+    @pytest.fixture(params=["cap", "cap-7"])
+    def point_cap(self, request, monkeypatch):
+        # A cap of 7 points per table query splits rows and rays at odd
+        # places.
+        if request.param == "cap-7":
+            monkeypatch.setattr(render, "_TABLE_POINTS", 7)
+
+    @pytest.mark.parametrize("case", list(ARRAY_CASES))
+    def test_every_pixel_equals_the_scalar_march(self, case, point_cap):
+        state, cam, params = ARRAY_CASES[case]()
+        want, samples = assert_rows_equal_scalar_march(state, cam, params)
+        if case in ("one-particle", "coincident-pair-at-minus-zero",
+                    "camera-inside-the-box"):
+            assert samples > 0 and any(want)
+
+    def test_golden_scene_non_square_frame(self, golden_scene, point_cap):
+        state = SimulationState(particles=golden_scene.particles,
+                                params=golden_scene.params)
+        assert_rows_equal_scalar_march(state, Camera(resolution=(40, 30)),
+                                       RenderParams())
+
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, hybridsph.render; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 GOLDEN_TWO_PARTICLE_SHA256 = (

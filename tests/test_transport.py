@@ -260,6 +260,22 @@ class TestConnect:
                     handshake_timeout=30)
         assert time.perf_counter() - t0 < 5.0
 
+    @pytest.mark.parametrize("inherited, code", [(None, 1), ("3", 3)])
+    def test_worker_starts_with_one_blas_thread(self, monkeypatch, inherited,
+                                                code):
+        # The worker reports its OPENBLAS_NUM_THREADS as its exit code: one
+        # thread unless the caller's environment sets its own.
+        if inherited is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", inherited)
+        with pytest.raises(SpawnError, match=f"code {code} "):
+            connect(LinkConfig(kind="subprocess"), worker_count=1,
+                    worker_command=[sys.executable, "-c",
+                                    "import os; raise SystemExit(int("
+                                    "os.environ['OPENBLAS_NUM_THREADS']))"],
+                    handshake_timeout=30)
+
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
             connect(LinkConfig(), worker_count=0)
