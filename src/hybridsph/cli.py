@@ -13,8 +13,7 @@ import csv
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import functors, render, sph
@@ -225,15 +224,10 @@ def parse_config(argv: list[str]) -> RunConfig:
     return cfg
 
 
-_PARTICLE_FIELDS = attrgetter(*(f.name for f in fields(sph.Particle)))
-
-
 def snapshot_particles(state: sph.SimulationState) -> sph.SimulationState:
     """Copy a state for rendering while the next step mutates the original."""
-    return sph.SimulationState(
-        particles=[sph.Particle(*_PARTICLE_FIELDS(p))
-                   for p in state.particles],
-        params=state.params)
+    return sph.SimulationState(particles=state.particles.copy(),
+                               params=state.params)
 
 
 def run(config: RunConfig, log=print) -> tuple[int, TimingReport]:

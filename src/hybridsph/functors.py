@@ -85,8 +85,8 @@ class _SnapshotAction:
     """An SPH phase over a column snapshot of the state, taken when the
     action is built: on the host just before the call, on a device when it
     is decoded. Items are row ids (unsigned on the wire; a row past the end
-    raises ``IndexError``); a result is the tuple of fields the phase
-    writes, which ``write`` stores in a particle.
+    raises ``IndexError``); a result is the tuple of the fields the phase
+    writes, in the order of the particle columns ``writes`` names.
 
     The class is its own functor codec: the wire bytes are the whole
     simulation state, and the receiving side rebuilds the spatial index.
@@ -124,11 +124,8 @@ class DensityGravityAction(_SnapshotAction):
     wire_name = "sph-density-gravity"
     result_codec = TupleCodec("<5d")
     fields = ("mass",)
+    writes = ("density", "pressure", "ax", "ay", "az")
     rows = staticmethod(sph.density_gravity_rows)
-
-    @staticmethod
-    def write(p: sph.Particle, row: tuple) -> None:
-        p.density, p.pressure, p.ax, p.ay, p.az = row
 
 
 class PressureForceAction(_SnapshotAction):
@@ -139,21 +136,33 @@ class PressureForceAction(_SnapshotAction):
     wire_name = "sph-pressure"
     result_codec = TupleCodec("<3d")
     fields = ("mass", "density", "pressure", "ax", "ay", "az")
+    writes = ("ax", "ay", "az")
     rows = staticmethod(sph.pressure_rows)
 
-    @staticmethod
-    def write(p: sph.Particle, row: tuple) -> None:
-        p.ax, p.ay, p.az = row
 
-
-@dataclass
 class IntegrateAction:
-    """Phase-4 position/velocity update; host-local only, never offloaded."""
+    """Phase 4 in place on rows of a particle array (items and results are
+    row ids): ``v += a*dt``, then ``x += v*dt``, then ``a = 0``, with the
+    bits of ``sph.phase4_integrate``. Host-local only, never offloaded."""
 
-    dt: float
+    def __init__(self, particles, dt: float):
+        self.particles, self.dt = particles, dt
 
-    def apply(self, p: sph.Particle) -> sph.Particle:
-        return sph.phase4_integrate(p, self.dt)
+    def apply_block(self, rows: list) -> list:
+        import numpy as np
+
+        p, dt = self.particles, self.dt
+        i = np.asarray(rows, dtype=np.intp)
+        for v, x, a in (("vx", "x", "ax"), ("vy", "y", "ay"),
+                        ("vz", "z", "az")):
+            vel = p[v][i] + p[a][i] * dt
+            p[v][i] = vel
+            p[x][i] += vel * dt
+            p[a][i] = 0.0
+        return rows
+
+    def apply(self, row: int) -> int:
+        return self.apply_block([row])[0]
 
 
 register_functor(AffineAction.wire_name, RecordCodec("<i", AffineAction))

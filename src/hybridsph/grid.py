@@ -26,7 +26,6 @@ module (as the device worker does) does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 
@@ -108,33 +107,22 @@ def cell_of(position: Sequence[float], grid: GridSpec) -> int:
     return ix + nx * (iy + ny * iz)
 
 
-def columns(items: Sequence, names: Sequence[str]) -> tuple:
-    """One float64 array per named attribute of the items, in item order."""
-    import numpy as np
-
-    n = len(items)
-    return tuple(np.fromiter(map(attrgetter(name), items), np.float64, n)
-                 for name in names)
-
-
 class SpatialIndex:
     """Cell-sorted particle indices over a :class:`GridSpec`.
 
     ``order`` and ``start`` are lists, for the scalar walks; the index also
-    keeps the positions it was built from (``xs``, ``ys``, ``zs``, in
-    particle order), which ``table`` reads. ``build`` may be called again to
-    re-index moved particles.
+    keeps the positions it was built from in index order, which ``table``
+    reads. ``build`` may be called again to re-index moved particles.
     """
 
-    __slots__ = ("grid", "order", "start", "xs", "ys", "zs", "_order",
-                 "_start", "_sorted")
+    __slots__ = ("grid", "order", "start", "_order", "_start", "_sorted")
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.order: list[int] = []
         self.start: list[int] = [0] * (grid.cell_count + 1)
 
-    def build(self, particles: Sequence) -> "SpatialIndex":
+    def build(self, particles) -> "SpatialIndex":
         """Sort all particles by cell, and by descending index inside a cell.
 
         The order is fixed by the particle array and the grid, so two builds
@@ -142,26 +130,27 @@ class SpatialIndex:
         """
         import numpy as np
 
-        self.xs, self.ys, self.zs = columns(particles, ("x", "y", "z"))
-        n = len(self.xs)
-        cell = cell_ids(self.xs, self.ys, self.zs, self.grid)
+        xs, ys, zs = particles.x, particles.y, particles.z
+        n = len(xs)
+        cell = cell_ids(xs, ys, zs, self.grid)
         order = np.lexsort((-np.arange(n), cell))
         start = np.zeros(self.grid.cell_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(cell, minlength=self.grid.cell_count),
                   out=start[1:])
         self._order = order
         self._start = start
-        self._sorted = (self.xs[order], self.ys[order], self.zs[order])
+        self._sorted = (xs[order], ys[order], zs[order])
         self.order = order.tolist()
         self.start = start.tolist()
         return self
 
-    def within(self, particles: Sequence, x: float, y: float, z: float,
+    def within(self, particles, x: float, y: float, z: float,
                radius: float) -> list[tuple]:
         """Every particle strictly closer than ``radius`` to ``(x, y, z)``.
 
-        Entries are ``(q, dx, dy, dz, r2)`` with ``dx = x - q.x`` (likewise
-        for y and z) and ``r2 = dx*dx + dy*dy + dz*dz``, in the order of
+        Entries are ``(q, dx, dy, dz, r2)`` with ``q`` the particle's record,
+        ``dx = x - q.x`` (likewise for y and z) and
+        ``r2 = dx*dx + dy*dy + dz*dz``, in the order of
         :func:`neighbor_candidates`. Every scalar neighbour sum in the
         package runs through this one walk, and ``table`` returns the same
         entries in the same order, so every form of a sum adds the same
@@ -171,6 +160,7 @@ class SpatialIndex:
         nx, ny, _ = self.grid.dims
         order = self.order
         start = self.start
+        xs, ys, zs = particles.x, particles.y, particles.z
         r2max = radius * radius
         found: list[tuple] = []
         add = found.append
@@ -179,13 +169,12 @@ class SpatialIndex:
             for iy in range(y0, y1 + 1):
                 rb = nx * (iy + zb)
                 for j in order[start[rb + x0]:start[rb + x1 + 1]]:
-                    q = particles[j]
-                    dx = x - q.x
-                    dy = y - q.y
-                    dz = z - q.z
+                    dx = x - xs[j]
+                    dy = y - ys[j]
+                    dz = z - zs[j]
                     r2 = dx * dx + dy * dy + dz * dz
                     if r2 < r2max:
-                        add((q, dx, dy, dz, r2))
+                        add((particles[j], dx, dy, dz, r2))
         return found
 
     def table(self, xs, ys, zs, radius: float):
@@ -251,7 +240,7 @@ class SpatialIndex:
         return (*out, valid)
 
 
-def build_index(particles: Sequence, grid: GridSpec,
+def build_index(particles, grid: GridSpec,
                 index: SpatialIndex | None = None) -> SpatialIndex:
     """Build (or rebuild) the spatial index for a particle array."""
     if index is None or index.grid != grid:

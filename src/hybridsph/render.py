@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .grid import build_index, columns
+from .grid import build_index
 from .runtime import hybrid_for_each
 from .sph import SimulationState, kernel_w, kernel_w_array
 
@@ -147,9 +146,9 @@ def sample_medium(state: SimulationState, point, palette=DEFAULT_PALETTE):
     rho = 0.0
     cr = cg = cb = 0.0
     for q, _, _, _, r2 in state.index.within(state.particles, x, y, z, h):
-        w = q.mass * kernel_w(sqrt(r2), h)
+        w = q["mass"] * kernel_w(sqrt(r2), h)
         rho += w
-        col = palette[q.material if q.material < last else last]
+        col = palette[min(q["material"], last)]
         cr += w * col[0]
         cg += w * col[1]
         cb += w * col[2]
@@ -159,14 +158,11 @@ def sample_medium(state: SimulationState, point, palette=DEFAULT_PALETTE):
 
 
 def _particle_bounds(state: SimulationState, margin: float):
-    parts = state.particles
-    if not parts:
+    if len(state.particles) == 0:
         return None
-    xs = [p.x for p in parts]
-    ys = [p.y for p in parts]
-    zs = [p.z for p in parts]
-    return ((min(xs) - margin, min(ys) - margin, min(zs) - margin),
-            (max(xs) + margin, max(ys) + margin, max(zs) + margin))
+    cols = (state.particles.x, state.particles.y, state.particles.z)
+    return (tuple(float(c.min()) - margin for c in cols),
+            tuple(float(c.max()) + margin for c in cols))
 
 
 def _clip_to_box(origin, direction, lo, hi, t0: float, t1: float):
@@ -299,12 +295,10 @@ class _RowAction:
         self.tan_half = math.tan(camera.fov / 2.0)
         self.bounds = _particle_bounds(state, state.params.h)
         parts = state.particles
-        (self.mass,) = columns(parts, ("mass",))
-        material = np.fromiter(map(attrgetter("material"), parts), np.int64,
-                               len(parts))
+        self.mass = np.array(parts.mass)  # contiguous: the sums gather it
         palette = np.asarray(params.palette, dtype=np.float64)
         # palette[min(material, last)] of every particle, per channel.
-        self.colors = palette[np.minimum(material, len(palette) - 1)].T
+        self.colors = palette[np.minimum(parts.material, len(palette) - 1)].T
 
     def _sample(self, xs, ys, zs):
         """``sample_medium`` at every point: density and the three colour

@@ -16,7 +16,9 @@ and stay the reference. The step runs their array twins
 (``density_gravity_rows``, ``pressure_rows``): column sums over
 ``SpatialIndex.table`` for a list of rows of a column snapshot
 (``phase_columns``), which add the same terms in the same order and give
-the same bits. numpy is imported inside the functions that use it.
+the same bits. The particles are one record array in the wire layout of
+``Particle`` (``particle_dtype``). numpy is imported inside the functions
+that use it.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ import math
 import random
 import struct
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
+from operator import attrgetter
 from typing import Callable, Sequence
 
-from .grid import (GridSpec, SpatialIndex, build_index, cell_coords, cell_ids,
-                   columns)
-from .wire import ByteReader
+from .grid import GridSpec, SpatialIndex, build_index, cell_coords, cell_ids
+from .wire import ByteReader, RecordCodec
 
 _PI = math.pi
 _GRAVITY_CHUNK = 32  # cells per block of the gravity sum
@@ -61,26 +63,28 @@ class Particle:
 
 
 # id u64, material u32, then 12 f64: pos, mass, density, pressure, vel, acc.
-_PARTICLE_STRUCT = struct.Struct("<QI12d")
-PARTICLE_WIRE_SIZE = _PARTICLE_STRUCT.size  # 108
+_PARTICLE_CODES = "QI" + "d" * 12
+PARTICLE_CODEC = RecordCodec("<" + _PARTICLE_CODES, Particle)
+PARTICLE_WIRE_SIZE = struct.calcsize("<" + _PARTICLE_CODES)  # 108
 
 
-class ParticleCodec:
-    """Fixed 108-byte little-endian particle record."""
+def particle_dtype():
+    """numpy dtype of one particle, built on call (importing this module
+    loads no numpy): the fields of :class:`Particle` in order, each of its
+    ``PARTICLE_CODEC`` type, so a record's bytes are its codec bytes."""
+    import numpy as np
 
-    __slots__ = ()
-
-    def serialize(self, p: Particle, out: bytearray) -> None:
-        out += _PARTICLE_STRUCT.pack(
-            p.id, p.material, p.x, p.y, p.z, p.mass, p.density, p.pressure,
-            p.vx, p.vy, p.vz, p.ax, p.ay, p.az)
-
-    def deserialize(self, reader: ByteReader) -> Particle:
-        start = reader._take(PARTICLE_WIRE_SIZE)
-        return Particle(*_PARTICLE_STRUCT.unpack_from(reader.data, start))
+    return np.dtype([(f.name, "<" + code) for f, code in
+                     zip(fields(Particle), _PARTICLE_CODES, strict=True)])
 
 
-PARTICLE_CODEC = ParticleCodec()
+def particle_array(particles: Sequence[Particle] = ()):
+    """The particles as one record array of :func:`particle_dtype`."""
+    import numpy as np
+
+    dtype = particle_dtype()
+    values = attrgetter(*dtype.names)
+    return np.array([values(p) for p in particles], dtype).view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +134,15 @@ class SimParams:
 class GravityField:
     """Force-per-mass vectors at grid cell centers, one contiguous array.
 
-    ``cells`` is a flat list of 3*cell_count floats in x-fastest row-major
-    cell order (gx0, gy0, gz0, gx1, ...).
+    ``cells`` is a ``(cell_count, 3)`` float64 array in x-fastest row-major
+    cell order: row ``ix + nx*(iy + ny*iz)`` is ``(gx, gy, gz)``.
     """
 
     __slots__ = ("grid", "cells")
 
-    def __init__(self, grid: GridSpec, cells: list[float]):
-        if len(cells) != 3 * grid.cell_count:
-            raise ValueError("cells length must be 3 * cell_count")
+    def __init__(self, grid: GridSpec, cells):
+        if cells.shape != (grid.cell_count, 3):
+            raise ValueError("cells must have shape (cell_count, 3)")
         self.grid = grid
         self.cells = cells
 
@@ -146,19 +150,22 @@ class GravityField:
         """Field vector of the cell containing the point (nearest-cell)."""
         ix, iy, iz = cell_coords(x, y, z, self.grid)
         nx, ny, _ = self.grid.dims
-        base = 3 * (ix + nx * (iy + ny * iz))
-        cells = self.cells
-        return cells[base], cells[base + 1], cells[base + 2]
+        return tuple(self.cells[ix + nx * (iy + ny * iz)].tolist())
 
 
 @dataclass
 class SimulationState:
-    """Whole problem state: particles, gravity field, spatial index, params."""
+    """Whole problem state: particles (a :func:`particle_array`, converted
+    from a :class:`Particle` list), gravity field, spatial index, params."""
 
-    particles: list[Particle]
+    particles: Sequence
     params: SimParams
     gravity: GravityField | None = None
     index: SpatialIndex | None = None
+
+    def __post_init__(self):
+        if not hasattr(self.particles, "dtype"):
+            self.particles = particle_array(self.particles)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +253,7 @@ def field_property(point: Sequence[float], state: SimulationState,
     scalar_total = 0.0
     vec_total: list[float] | None = None
     for p, _, _, _, r2 in state.index.within(state.particles, x, y, z, h):
-        w = kernel_w(math.sqrt(r2), h) * p.mass / p.density
+        w = kernel_w(math.sqrt(r2), h) * p["mass"] / p["density"]
         a = accessor(p)
         if isinstance(a, (int, float)):
             scalar_total += a * w
@@ -261,7 +268,7 @@ def field_property(point: Sequence[float], state: SimulationState,
     return scalar_total
 
 
-def build_gravity_field(particles: Sequence[Particle], grid: GridSpec,
+def build_gravity_field(particles, grid: GridSpec,
                         G: float, epsilon: float) -> GravityField:
     """Softened point-mass field at every cell center:
     g(c) = sum_j G m_j (pos_j - c) / (|pos_j - c|^2 + eps^2)^(3/2).
@@ -279,11 +286,10 @@ def build_gravity_field(particles: Sequence[Particle], grid: GridSpec,
     import numpy as np  # deferred: keeps device-worker startup lean
 
     ncells = grid.cell_count
-    n = len(particles)
-    if n == 0:
-        return GravityField(grid, [0.0] * (3 * ncells))
+    if len(particles) == 0:
+        return GravityField(grid, np.zeros((ncells, 3)))
 
-    px, py, pz, mass = columns(particles, ("x", "y", "z", "mass"))
+    px, py, pz, mass = particles.x, particles.y, particles.z, particles.mass
     nx, ny, nz = grid.dims
     ox, oy, oz = grid.origin
     cs = grid.cell_size
@@ -313,7 +319,7 @@ def build_gravity_field(particles: Sequence[Particle], grid: GridSpec,
         out[s:e, 0] = (w * dx).sum(axis=0)
         out[s:e, 1] = (w * dy).sum(axis=0)
         out[s:e, 2] = (w * dz).sum(axis=0)
-    return GravityField(grid, out[:ncells].ravel().tolist())
+    return GravityField(grid, out[:ncells])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +353,7 @@ def phase2_density_gravity(state: SimulationState, p: Particle) -> Particle:
     kw = kernel_w
     rho = 0.0
     for q, _, _, _, r2 in state.index.within(state.particles, px, py, pz, h):
-        rho += q.mass * kw(sqrt(r2), h)
+        rho += q["mass"] * kw(sqrt(r2), h)
     p.density = rho
     p.pressure = params.k_eos * rho
     gx, gy, gz = state.gravity.sample(px, py, pz)
@@ -378,8 +384,8 @@ def phase3_pressure(state: SimulationState, p: Particle) -> Particle:
     for q, dx, dy, dz, r2 in state.index.within(state.particles, px, py, pz, h):
         if r2 > 0.0:
             r = sqrt(r2)
-            coef = (q.mass
-                    * (self_term + q.pressure / (q.density * q.density))
+            dq = q["density"]
+            coef = (q["mass"] * (self_term + q["pressure"] / (dq * dq))
                     * kdw(r, h) / r)
             ax -= coef * dx
             ay -= coef * dy
@@ -393,17 +399,16 @@ def phase3_pressure(state: SimulationState, p: Particle) -> Particle:
 def phase_columns(state: SimulationState, fields: Sequence[str]) -> dict:
     """Column snapshot of a state for the array phases.
 
-    Holds the positions the spatial index was built from (``x``, ``y``,
-    ``z``), a float64 array per named particle field, and the gravity
-    field's cells as a ``(cells, 3)`` array under ``gravity``. Taken before
-    a phase, it is the pre-phase snapshot the phase reads.
+    Holds a contiguous copy (the rows gather from it) of the positions and
+    of each named particle column, and the gravity field's cells under
+    ``gravity``. Taken before a phase, it is the pre-phase snapshot the
+    phase reads.
     """
     import numpy as np
 
-    index = state.index
-    cols = dict(zip(fields, columns(state.particles, fields)))
-    cols.update(x=index.xs, y=index.ys, z=index.zs,
-                gravity=np.asarray(state.gravity.cells).reshape(-1, 3))
+    cols = {name: np.array(state.particles[name])
+            for name in ("x", "y", "z", *fields)}
+    cols["gravity"] = state.gravity.cells
     return cols
 
 
@@ -507,28 +512,27 @@ class SimStateCodec:
             p.h, p.dt, p.k_eos, p.G, p.epsilon,
             lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
             p.gravity_dims[0], p.gravity_dims[1], p.gravity_dims[2])
-        cells = state.gravity.cells
-        out += struct.pack(f"<{len(cells)}d", *cells)
+        out += state.gravity.cells.tobytes()
         out += struct.pack("<Q", len(state.particles))
-        serialize = PARTICLE_CODEC.serialize
-        for q in state.particles:
-            serialize(q, out)
+        out += state.particles.tobytes()
 
     def deserialize(self, reader: ByteReader) -> SimulationState:
+        import numpy as np
+
         vals = _PARAMS_STRUCT.unpack(reader.read_bytes(_PARAMS_STRUCT.size))
         params = SimParams(
             h=vals[0], dt=vals[1], k_eos=vals[2], G=vals[3], epsilon=vals[4],
             world_box=((vals[5], vals[6], vals[7]), (vals[8], vals[9], vals[10])),
             gravity_dims=(vals[11], vals[12], vals[13]))
         grid = params.gravity_grid()  # the field's size follows from params
-        count = 3 * grid.cell_count
-        cells = list(struct.unpack(f"<{count}d", reader.read_bytes(8 * count)))
-        gravity = GravityField(grid, cells)
-        deserialize = PARTICLE_CODEC.deserialize
-        particles = [deserialize(reader) for _ in range(reader.read_u64())]
-        state = SimulationState(particles=particles, params=params,
-                                gravity=gravity)
-        state.index = build_index(particles, params.index_grid())
+        # Writable copies of the bytes: the arrays must not share the buffer.
+        cells = bytearray(reader.read_bytes(24 * grid.cell_count))
+        records = bytearray(reader.read_bytes(
+            PARTICLE_WIRE_SIZE * reader.read_u64()))
+        state = SimulationState(
+            np.frombuffer(records, particle_dtype()).view(np.recarray), params,
+            GravityField(grid, np.frombuffer(cells, "<f8").reshape(-1, 3)))
+        state.index = build_index(state.particles, params.index_grid())
         return state
 
 
@@ -543,13 +547,14 @@ def make_scene(n: int, params: SimParams | None = None, seed: int = 1234,
                radius: float = 1.0, total_mass: float = 1.0) -> SimulationState:
     """Seeded initial conditions: n equal-mass particles uniform in a sphere,
     at rest, with material assigned by radius band."""
+    import numpy as np
+
     params = params or SimParams()
     rng = random.Random(seed)
-    mass = total_mass / n if n else total_mass
-    particles: list[Particle] = []
+    points = []  # (material, x, y, z) of each particle
     band1 = 0.4 * radius
     band2 = 0.75 * radius
-    while len(particles) < n:
+    while len(points) < n:
         x = rng.uniform(-radius, radius)
         y = rng.uniform(-radius, radius)
         z = rng.uniform(-radius, radius)
@@ -557,9 +562,11 @@ def make_scene(n: int, params: SimParams | None = None, seed: int = 1234,
         if r2 > radius * radius:
             continue
         r = math.sqrt(r2)
-        material = 0 if r < band1 else (1 if r < band2 else 2)
-        particles.append(Particle(id=len(particles), material=material,
-                                  x=x, y=y, z=z, mass=mass))
+        points.append((0 if r < band1 else (1 if r < band2 else 2), x, y, z))
+    particles = np.zeros(n, particle_dtype()).view(np.recarray)
+    particles[["material", "x", "y", "z"]] = points
+    particles.id = np.arange(n)
+    particles.mass = total_mass / n if n else total_mass
     return SimulationState(particles=particles, params=params)
 
 
@@ -589,11 +596,12 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     Phase 1 runs serially on the host. Phases 2 and 3 run hybrid_for_each
     over the row ids, ``BLOCK_ROWS`` at a time, with a fresh whole-state
     transfer per phase (devices are connected per phase and discard their
-    state copies afterwards), and write each row's result into its
-    particle. Each phase's functor is built just before its call, because
-    it snapshots the state then: phase 3 reads the densities phase 2 wrote.
-    The snapshot and the writes count in the phase's time. Phase 4 runs
-    with local parallelism only; shipping it costs more than it saves.
+    state copies afterwards), and write their results into the columns the
+    action names. Each phase's functor is built just before its call,
+    because it snapshots the state then: phase 3 reads the densities phase
+    2 wrote. The snapshot and the writes count in the phase's time. Phase 4
+    updates its rows in place, with local parallelism only; shipping it
+    costs more than it saves.
     """
     from . import functors
     from .runtime import connect_devices, hybrid_for_each
@@ -619,16 +627,17 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
         stats = hybrid_for_each(results, functor, devices,
                                 host_workers=host_workers,
                                 chunk=functors.BLOCK_ROWS)
-        for p, row in zip(state.particles, results):
-            functor.write(p, row)
+        for name, column in zip(functor.writes, zip(*results)):
+            state.particles[name] = column
         setattr(timing, phase_name, snapshot_s + time.perf_counter() - t0)
         timing.stats.append(stats)
         timing.items_on_devices += stats.device_items
 
     t0 = time.perf_counter()
-    integrate = functors.IntegrateAction(state.params.dt)
-    stats4 = hybrid_for_each(state.particles, integrate, (),
-                             host_workers=host_workers, chunk=64)
+    integrate = functors.IntegrateAction(state.particles, state.params.dt)
+    stats4 = hybrid_for_each(list(range(n)), integrate, (),
+                             host_workers=host_workers,
+                             chunk=functors.BLOCK_ROWS)
     timing.phase4_s = time.perf_counter() - t0
     timing.stats.append(stats4)
     return timing

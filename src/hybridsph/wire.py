@@ -120,14 +120,15 @@ class RecordCodec:
     """Codec for a dataclass: its fields, in declaration order, packed by
     one ``struct`` format (``RecordCodec("<dI", JitterSleepAction)``)."""
 
-    __slots__ = ("_struct", "_cls")
+    __slots__ = ("_struct", "_cls", "_names")
 
     def __init__(self, fmt: str, cls: type):
         self._struct = struct.Struct(fmt)
         self._cls = cls
+        self._names = [f.name for f in dataclasses.fields(cls)]
 
     def serialize(self, value: Any, out: bytearray) -> None:
-        out += self._struct.pack(*dataclasses.astuple(value))
+        out += self._struct.pack(*[getattr(value, n) for n in self._names])
 
     def deserialize(self, reader: ByteReader) -> Any:
         return self._cls(*self._struct.unpack(

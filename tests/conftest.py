@@ -22,6 +22,12 @@ def particle_bits(p: Particle) -> bytes:
                        p.ax, p.ay, p.az)
 
 
+def as_particles(array) -> list:
+    """The records of a particle array as ``Particle`` objects, whose fields
+    the oracles read at plain-attribute speed."""
+    return [Particle(*r) for r in array.tolist()]
+
+
 def particles_equal_bits(a: list, b: list) -> bool:
     return (len(a) == len(b)
             and all(particle_bits(p) == particle_bits(q) for p, q in zip(a, b)))

@@ -26,8 +26,9 @@ from hybridsph.sph import (Particle, SimParams, SimulationState, kernel_dw,
 from hybridsph.transport import LinkConfig, TraceRecorder
 from hybridsph.wire import ByteReader
 
-from conftest import (brute_density, brute_field, brute_neighbors,
-                      brute_pressure_accel, particle_bits, rel_err)
+from conftest import (as_particles, brute_density, brute_field,
+                      brute_neighbors, brute_pressure_accel, particle_bits,
+                      rel_err)
 from test_queue import (_stress_trial, check_exactly_once,
                         check_priority_discipline)
 from test_runtime import max_unresulted_blocks
@@ -64,7 +65,7 @@ def _keystone_run(device_specs, pipeline):
             do_render(snap, step)
     if pending is not None:
         pending.join()
-    final = b"".join(particle_bits(p) for p in state.particles)
+    final = state.particles.tobytes()
     return [frames[i] for i in range(3)], final
 
 
@@ -115,8 +116,9 @@ def test_criterion_02_brute_force_oracles():
                  for i in range(n)]
         state = SimulationState(particles=parts, params=params)
         phase1_prepare(state)
-        for p in parts:
+        for p in state.particles:
             phase2_density_gravity(state, p)
+        parts = as_particles(state.particles)
 
         # neighbor sets: exact equality against all-pairs
         for _ in range(10):
@@ -210,12 +212,13 @@ def test_criterion_04_momentum_conservation():
     worst = 0.0
     for _ in range(10):
         simulation_step(state, [], host_workers=2)
-        px = sum(p.mass * p.vx for p in state.particles)
-        py = sum(p.mass * p.vy for p in state.particles)
-        pz = sum(p.mass * p.vz for p in state.particles)
-        scale = max(sum(abs(p.mass * p.vx) for p in state.particles),
-                    sum(abs(p.mass * p.vy) for p in state.particles),
-                    sum(abs(p.mass * p.vz) for p in state.particles), 1e-30)
+        parts = as_particles(state.particles)
+        px = sum(p.mass * p.vx for p in parts)
+        py = sum(p.mass * p.vy for p in parts)
+        pz = sum(p.mass * p.vz for p in parts)
+        scale = max(sum(abs(p.mass * p.vx) for p in parts),
+                    sum(abs(p.mass * p.vy) for p in parts),
+                    sum(abs(p.mass * p.vz) for p in parts), 1e-30)
         drift = max(abs(px), abs(py), abs(pz)) / scale
         worst = max(worst, drift)
         assert drift <= 1e-9

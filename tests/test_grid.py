@@ -9,7 +9,7 @@ import pytest
 
 from hybridsph.grid import (GridSpec, build_index, cell_coords,
                             cell_coords_array, cell_of, neighbor_candidates)
-from hybridsph.sph import Particle
+from hybridsph.sph import Particle, particle_array
 
 from conftest import brute_neighbors, random_particles
 
@@ -49,13 +49,13 @@ def cell_members(index, c):
 
 class TestBuildIndex:
     def test_empty_scene_all_heads_end(self):
-        index = build_index([], GRID)
+        index = build_index(particle_array(), GRID)
         assert index.order == []
         assert index.start == [0] * (GRID.cell_count + 1)
 
     def test_prepend_order_in_one_cell(self):
         parts = [make_particle(i, 0.1, 0.1, 0.1) for i in range(3)]
-        index = build_index(parts, GRID)
+        index = build_index(particle_array(parts), GRID)
         c = cell_of((0.1, 0.1, 0.1), GRID)
         # inside a cell, descending particle index: the order a per-cell
         # chain built by prepending in index order would walk
@@ -64,7 +64,7 @@ class TestBuildIndex:
 
     def test_membership_matches_brute_force_assignment(self):
         parts = random_particles(500, seed=11, span=1.4)
-        index = build_index(parts, GRID)
+        index = build_index(particle_array(parts), GRID)
         # every cell's slice holds exactly the particles of that cell, in
         # descending index, and each particle appears once
         seen = []
@@ -78,7 +78,7 @@ class TestBuildIndex:
         assert sorted(seen) == list(range(len(parts)))
 
     def test_rebuild_replaces_stale_chains(self):
-        parts = [make_particle(0, -0.9, -0.9, -0.9)]
+        parts = particle_array([make_particle(0, -0.9, -0.9, -0.9)])
         index = build_index(parts, GRID)
         old_cell = cell_of((-0.9, -0.9, -0.9), GRID)
         parts[0].x = 0.9
@@ -88,7 +88,7 @@ class TestBuildIndex:
         assert cell_members(index, new_cell) == [0]
 
     def test_determinism(self):
-        parts = random_particles(300, seed=9)
+        parts = particle_array(random_particles(300, seed=9))
         a = build_index(parts, GRID)
         b = build_index(parts, GridSpec(GRID.origin, GRID.cell_size, GRID.dims))
         assert a.order == b.order
@@ -126,7 +126,8 @@ class TestTable:
     def test_rows_equal_within(self):
         # Scene and query points spill past every face of the grid.
         parts = random_particles(500, seed=34, span=1.4)
-        index = build_index(parts, GRID)
+        array = particle_array(parts)
+        index = build_index(array, GRID)
         rng = random.Random(79)
         pts = [(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6),
                 rng.uniform(-1.6, 1.6)) for _ in range(300)]
@@ -136,7 +137,7 @@ class TestTable:
             idx, dx, dy, dz, r2, valid = index.table(xs, ys, zs, radius)
             assert idx.shape == r2.shape == valid.shape
             for i, pt in enumerate(pts):
-                want = index.within(parts, *pt, radius)
+                want = index.within(array, *pt, radius)
                 k = len(want)
                 assert valid[i].tolist() == [True] * k + \
                     [False] * (valid.shape[1] - k)
@@ -146,12 +147,13 @@ class TestTable:
                 assert got == [(q.id, a, b, c, d) for q, a, b, c, d in want]
 
     def test_empty_index_and_no_points(self):
-        index = build_index([], GRID)
+        index = build_index(particle_array(), GRID)
         empty = np.zeros(0)
         out = index.table(np.array([0.1]), np.array([0.2]), np.array([0.3]),
                           0.25)
         assert [a.shape for a in out] == [(1, 0)] * 6
-        index = build_index(random_particles(20, seed=3), GRID)
+        index = build_index(particle_array(random_particles(20, seed=3)),
+                            GRID)
         out = index.table(empty, empty, empty, 0.25)
         assert [a.shape for a in out] == [(0, 0)] * 6
 
@@ -162,14 +164,14 @@ class TestNeighborCandidates:
         parts = [make_particle(0, 0.11, 0.11, 0.11),
                  make_particle(1, 0.14, 0.11, 0.11),
                  make_particle(2, 0.9, 0.9, 0.9)]
-        index = build_index(parts, GRID)
+        index = build_index(particle_array(parts), GRID)
         got = set(neighbor_candidates(index, (0.12, 0.11, 0.11), 0.05))
         assert {0, 1} <= got
         assert 2 not in got
 
     def test_completeness_vs_brute_force(self):
         parts = random_particles(500, seed=21)
-        index = build_index(parts, GRID)
+        index = build_index(particle_array(parts), GRID)
         rng = random.Random(77)
         radius = 0.2
         for _ in range(200):
@@ -185,12 +187,12 @@ class TestNeighborCandidates:
 
     def test_point_outside_grid_region_is_complete(self):
         parts = [make_particle(0, -0.999, -0.999, -0.999)]
-        index = build_index(parts, GRID)
+        index = build_index(particle_array(parts), GRID)
         got = set(neighbor_candidates(index, (-1.5, -1.5, -1.5), 0.9))
         assert got == {0}
 
     def test_rejects_nonpositive_radius(self):
-        index = build_index([], GRID)
+        index = build_index(particle_array(), GRID)
         with pytest.raises(ValueError):
             list(neighbor_candidates(index, (0, 0, 0), 0.0))
 
@@ -199,13 +201,14 @@ class TestWithin:
     def test_is_candidates_filtered_in_chain_order(self):
         # Scene and query points spill past every face of the grid.
         parts = random_particles(500, seed=33, span=1.4)
-        index = build_index(parts, GRID)
+        array = particle_array(parts)
+        index = build_index(array, GRID)
         rng = random.Random(78)
         radius = 0.2
         for _ in range(200):
             x, y, z = (rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6),
                        rng.uniform(-1.6, 1.6))
-            got = index.within(parts, x, y, z, radius)
+            got = index.within(array, x, y, z, radius)
             expected = brute_neighbors(parts, (x, y, z), radius)
             order = [q.id for q, *_ in got]  # ids equal indices here
             assert order == [j for j in neighbor_candidates(

@@ -1,6 +1,5 @@
 """Hybrid runtime: packing, controllers, and the for-each contract."""
 
-import copy
 import random
 import re
 import struct
@@ -24,7 +23,7 @@ from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
 from hybridsph.wire import (I32_CODEC, I64_CODEC, RecordCodec,
                             TruncatedInputError, register_functor)
 
-from conftest import particle_bits
+from conftest import as_particles, particle_bits
 
 
 @dataclass
@@ -371,8 +370,8 @@ class TestDeviceLoss:
         if scalar is sph.phase3_pressure:
             for p in state.particles:
                 sph.phase2_density_gravity(state, p)
-        want = [particle_bits(scalar(state, copy.copy(p)))
-                for p in state.particles]
+        want = [particle_bits(scalar(state, p))
+                for p in as_particles(state.particles)]
         applied = []
 
         class Watched(action):
@@ -401,10 +400,10 @@ class TestDeviceLoss:
         assert all(len(rows) > 1 and rows != sorted(rows) for rows in applied)
         results = dict(zip(order, items))
         got = []
-        for i, p in enumerate(state.particles):
-            q = copy.copy(p)
-            functor.write(q, results[i])
-            got.append(particle_bits(q))
+        for i, p in enumerate(as_particles(state.particles)):
+            for name, value in zip(functor.writes, results[i], strict=True):
+                setattr(p, name, value)
+            got.append(particle_bits(p))
         assert got == want
 
     @pytest.mark.parametrize("mode", ["close", "truncated", "wrong-count",

@@ -12,15 +12,18 @@ import sys
 import numpy as np
 import pytest
 
-from hybridsph.functors import DensityGravityAction, PressureForceAction
+from hybridsph.functors import (BLOCK_ROWS, DensityGravityAction,
+                                IntegrateAction, PressureForceAction)
 from hybridsph.grid import GridSpec
+from hybridsph.runtime import hybrid_for_each
 from hybridsph.sph import (Particle, SimParams, SimulationState,
                            build_gravity_field, density_gravity_rows,
                            field_property, kernel_dw, kernel_dw_array,
                            kernel_w, kernel_w_array, make_scene,
-                           phase1_prepare, phase2_density_gravity,
-                           phase3_pressure, phase4_integrate, phase_columns,
-                           pressure_rows, simulation_step)
+                           particle_array, phase1_prepare,
+                           phase2_density_gravity, phase3_pressure,
+                           phase4_integrate, phase_columns, pressure_rows,
+                           simulation_step)
 
 from conftest import (brute_density, brute_field, brute_gravity_at,
                       brute_pressure_accel, lone_particle_positions,
@@ -40,7 +43,7 @@ def prepared_state(n, seed, params=None, equal_mass=True, span=0.8):
             mass=(1.0 / n) if equal_mass else rng.uniform(0.5, 2.0) / n))
     state = SimulationState(particles=parts, params=params)
     phase1_prepare(state)
-    for p in parts:
+    for p in state.particles:
         phase2_density_gravity(state, p)
     return state
 
@@ -129,7 +132,7 @@ class TestFieldProperty:
         p = Particle(id=0, material=0, x=0.1, y=0.2, z=0.3, mass=2.5)
         state = SimulationState(particles=[p], params=params)
         phase1_prepare(state)
-        p.density = 1.7  # any positive value; accessor d_j cancels it
+        state.particles[0].density = 1.7  # any positive value; d_j cancels
         got = field_property((0.1, 0.2, 0.3), state, lambda q: q.density)
         assert rel_err(got, 2.5 * kernel_w(0.0, params.h)) < 1e-15
 
@@ -169,7 +172,8 @@ class TestGravityField:
     def test_particle_at_cell_center_contributes_zero_there(self):
         c = self.cell_center(1, 1, 1)
         p = Particle(id=0, material=0, x=c[0], y=c[1], z=c[2], mass=3.0)
-        field = build_gravity_field([p], self.GRID, G=1.0, epsilon=0.05)
+        field = build_gravity_field(particle_array([p]), self.GRID, G=1.0,
+                                    epsilon=0.05)
         assert field.sample(*c) == (0.0, 0.0, 0.0)
 
     def test_symmetric_pair_cancels_at_center(self):
@@ -178,7 +182,8 @@ class TestGravityField:
                          mass=1.0),
                 Particle(id=1, material=0, x=c[0] - 0.125, y=c[1], z=c[2],
                          mass=1.0)]
-        field = build_gravity_field(pair, self.GRID, G=2.0, epsilon=0.01)
+        field = build_gravity_field(particle_array(pair), self.GRID, G=2.0,
+                                    epsilon=0.01)
         assert field.sample(*c) == (0.0, 0.0, 0.0)
 
     def test_far_field_matches_point_mass(self):
@@ -188,7 +193,8 @@ class TestGravityField:
         d = 10.0
         p = Particle(id=0, material=0, x=center[0] + d, y=center[1],
                      z=center[2], mass=4.0)
-        field = build_gravity_field([p], grid, G=1.5, epsilon=d / 100)
+        field = build_gravity_field(particle_array([p]), grid, G=1.5,
+                                    epsilon=d / 100)
         gx, gy, gz = field.sample(*center)
         mag = math.sqrt(gx * gx + gy * gy + gz * gz)
         assert abs(mag - 1.5 * 4.0 / d**2) / (1.5 * 4.0 / d**2) < 0.01
@@ -200,7 +206,8 @@ class TestGravityField:
                           y=random.Random(i + 50).uniform(-1, 1),
                           z=random.Random(i + 99).uniform(-1, 1),
                           mass=0.1 + 0.01 * i) for i in range(40)]
-        field = build_gravity_field(parts, self.GRID, G=1.0, epsilon=0.05)
+        field = build_gravity_field(particle_array(parts), self.GRID, G=1.0,
+                                    epsilon=0.05)
         nx, ny, nz = self.GRID.dims
         for iz in range(nz):
             for iy in range(ny):
@@ -212,9 +219,10 @@ class TestGravityField:
                         assert rel_err(a, b) < 1e-10
 
     def test_empty_scene_zero_field(self):
-        field = build_gravity_field([], self.GRID, G=1.0, epsilon=0.05)
-        assert all(v == 0.0 for v in field.cells)
-        assert len(field.cells) == 3 * self.GRID.cell_count
+        field = build_gravity_field(particle_array(), self.GRID, G=1.0,
+                                    epsilon=0.05)
+        assert field.cells.shape == (self.GRID.cell_count, 3)
+        assert not field.cells.any()
 
     @pytest.mark.parametrize("dims, n, digest", [
         ((8, 8, 8), 9, "b6677abbca0d33921e6413f2678b5700"
@@ -238,7 +246,8 @@ class TestGravityField:
         state = make_scene(n, params, seed=7)
         field = build_gravity_field(state.particles, params.gravity_grid(),
                                     params.G, params.epsilon)
-        raw = struct.pack(f"<{len(field.cells)}d", *field.cells)
+        raw = struct.pack(f"<{field.cells.size}d", *field.cells.ravel())
+        assert raw == field.cells.tobytes()
         assert hashlib.sha256(raw).hexdigest() == digest
 
 
@@ -252,18 +261,18 @@ class TestPhase1:
         phase1_prepare(state)
         order1 = list(state.index.order)
         start1 = list(state.index.start)
-        cells1 = list(state.gravity.cells)
+        cells1 = state.gravity.cells.tobytes()
         phase1_prepare(state)
         assert state.index.order == order1
         assert state.index.start == start1
-        assert state.gravity.cells == cells1
+        assert state.gravity.cells.tobytes() == cells1
 
     def test_empty_scene(self):
         state = SimulationState(particles=[], params=SimParams())
         phase1_prepare(state)
         assert state.index.order == []
         assert all(s == 0 for s in state.index.start)
-        assert all(v == 0.0 for v in state.gravity.cells)
+        assert not state.gravity.cells.any()
 
 
 class TestPhase2:
@@ -327,6 +336,7 @@ class TestPhase3:
         a = Particle(id=0, material=0, x=-h / 4, y=0.0, z=0.0, mass=0.3)
         b = Particle(id=1, material=0, x=h / 4, y=0.0, z=0.0, mass=0.3)
         state = SimulationState(particles=[a, b], params=params)
+        a, b = state.particles
         phase1_prepare(state)
         for p in (a, b):
             phase2_density_gravity(state, p)
@@ -382,11 +392,13 @@ class TestPhase3:
 
 def phases_both_ways(particles, params, seed=0):
     """Phases 1-3 on two copies of ``particles``: through the step's
-    actions (``apply_block`` over shuffled rows, in groups of random size)
-    and through the scalar reference. Returns the bits of both after
-    phase 2 and after phase 3."""
-    fast = SimulationState([copy.copy(p) for p in particles], params)
-    ref = SimulationState([copy.copy(p) for p in particles], params)
+    actions (``apply_block`` over shuffled rows, in groups of random size,
+    results written to the columns the action names) and through the
+    scalar reference. Returns the bytes of both after phase 2 and after
+    phase 3."""
+    particles = SimulationState(particles, params).particles
+    fast = SimulationState(particles.copy(), params)
+    ref = SimulationState(particles.copy(), params)
     phase1_prepare(fast)
     phase1_prepare(ref)
     rng = random.Random(seed)
@@ -402,12 +414,11 @@ def phases_both_ways(particles, params, seed=0):
             rows = order[lo:lo + rng.randint(1, 300)]
             results.update(zip(rows, functor.apply_block(rows)))
             lo += len(rows)
-        for i, p in enumerate(fast.particles):
-            functor.write(p, results[i])
+        for k, name in enumerate(functor.writes):
+            fast.particles[name] = [results[i][k] for i in range(len(order))]
         for p in ref.particles:
             scalar(ref, p)
-        out.append(([particle_bits(p) for p in fast.particles],
-                    [particle_bits(p) for p in ref.particles]))
+        out.append((fast.particles.tobytes(), ref.particles.tobytes()))
     return out
 
 
@@ -487,27 +498,71 @@ class TestArrayPhases:
         assert out.stdout.strip() == "False"
 
 
+def integrate_both_ways(particles, dt):
+    """Phase 4 on ``particles`` through the step's path (``IntegrateAction``
+    over row ids, ``BLOCK_ROWS`` at a time, on two host workers) and
+    through ``phase4_integrate``. Asserts that both give the same bits and
+    returns the integrated particles."""
+    state = SimulationState(particles, SimParams())
+    hybrid_for_each(list(range(len(particles))),
+                    IntegrateAction(state.particles, dt), host_workers=2,
+                    chunk=BLOCK_ROWS)
+    want = [phase4_integrate(copy.copy(p), dt) for p in particles]
+    assert state.particles.tobytes() == b"".join(map(particle_bits, want))
+    return want
+
+
+# -0.0, +-inf, NaNs with payloads (quiet, signalling, negative) and
+# subnormals, as bit patterns.
+PHASE4_SPECIALS = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+                   for bits in (0x8000000000000000, 0x7FF0000000000000,
+                                0xFFF0000000000000, 0x7FF80000DEADBEEF,
+                                0x7FF0000000000001, 0xFFF8000000C0FFEE,
+                                0x0000000000000001, 0x800FFFFFFFFFFFFF)]
+
+
 class TestPhase4:
     def test_free_streaming(self):
-        p = Particle(id=0, material=0, x=1.0, y=2.0, z=3.0, mass=1.0,
-                     vx=0.5, vy=-1.0, vz=0.25)
-        phase4_integrate(p, 0.1)
+        (p,) = integrate_both_ways([
+            Particle(id=0, material=0, x=1.0, y=2.0, z=3.0, mass=1.0,
+                     vx=0.5, vy=-1.0, vz=0.25)], 0.1)
         assert (p.x, p.y, p.z) == (1.0 + 0.05, 2.0 - 0.1, 3.0 + 0.025)
 
     def test_one_step_closed_form_from_rest(self):
         dt = 0.25
-        p = Particle(id=0, material=0, x=0.0, y=0.0, z=0.0, mass=1.0,
-                     ax=2.0, ay=0.0, az=-4.0)
-        phase4_integrate(p, dt)
+        (p,) = integrate_both_ways([
+            Particle(id=0, material=0, x=0.0, y=0.0, z=0.0, mass=1.0,
+                     ax=2.0, ay=0.0, az=-4.0)], dt)
         assert p.x == 2.0 * dt * dt
         assert p.z == -4.0 * dt * dt
         assert (p.ax, p.ay, p.az) == (0.0, 0.0, 0.0)
 
     def test_zero_dt_identity_except_acc_reset(self):
-        p = Particle(id=0, material=0, x=1.0, y=1.0, z=1.0, mass=1.0,
-                     vx=3.0, ax=9.0)
-        phase4_integrate(p, 0.0)
+        (p,) = integrate_both_ways([
+            Particle(id=0, material=0, x=1.0, y=1.0, z=1.0, mass=1.0,
+                     vx=3.0, ax=9.0)], 0.0)
         assert (p.x, p.vx, p.ax) == (1.0, 3.0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("dt", [0.1, 0.0, 5e-324])
+    def test_special_values_equal_scalar_bitwise(self, dt):
+        # Every pair of special velocity and acceleration, on each axis,
+        # then random rows so that the call spans several blocks.
+        values = PHASE4_SPECIALS + [0.0, 1.5, -3.25]
+        rng = random.Random(12)
+        parts = [Particle(id=i, material=0, x=rng.choice(values),
+                          y=-0.0, z=1.0, mass=1.0, vx=v, vy=-a, vz=a,
+                          ax=a, ay=v, az=-v)
+                 for i, (v, a) in enumerate(
+                     (v, a) for v in values for a in values)]
+        parts += [Particle(id=len(parts) + i, material=0,
+                           x=rng.uniform(-1, 1), y=rng.uniform(-1, 1),
+                           z=rng.uniform(-1, 1), mass=1.0,
+                           vx=rng.choice(values), vy=rng.uniform(-1, 1),
+                           vz=rng.choice(values), ax=rng.choice(values),
+                           ay=rng.uniform(-1, 1), az=rng.choice(values))
+                  for i in range(2 * BLOCK_ROWS)]
+        integrate_both_ways(parts, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +629,7 @@ class TestStep:
         b = Particle(id=1, material=0, x=d / 2, y=0.0, z=0.0, mass=m)
         state = SimulationState(particles=[a, b], params=params)
         simulation_step(state, [], host_workers=1)
+        a, b = state.particles
 
         rho = m * (kernel_w(0.0, h) + kernel_w(d, h))
         prs = 2.0 * rho
@@ -625,7 +681,7 @@ class TestStep:
         # Pins the chain order of every neighbour sum: the brute-force
         # oracles compare within a tolerance, so a reordered sum would pass
         # them. Regenerate deliberately if the physics or the order changes.
-        records = b"".join(particle_bits(p) for p in golden_scene.particles)
+        records = golden_scene.particles.tobytes()
         assert len(records) == 108 * 3000
         assert hashlib.sha256(records).hexdigest() == GOLDEN_STEP_SHA256
 

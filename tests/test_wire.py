@@ -96,19 +96,36 @@ class TestParticleLayout:
 finite_or_weird = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
+# +-0.0, +-inf, NaNs with payloads (quiet, signalling, negative) and
+# subnormals, as bit patterns.
+SPECIAL_DOUBLES = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+                   for bits in (0x0000000000000000, 0x8000000000000000,
+                                0x7FF0000000000000, 0xFFF0000000000000,
+                                0x7FF8000000000000, 0x7FF0000000000001,
+                                0xFFF80000DEADBEEF, 0x0000000000000001,
+                                0x800FFFFFFFFFFFFF)]
+wire_doubles = st.one_of(finite_or_weird, st.sampled_from(SPECIAL_DOUBLES))
+
+
 @given(
     pid=st.integers(0, 2**64 - 1),
     material=st.integers(0, 2**32 - 1),
-    fields=st.lists(finite_or_weird, min_size=12, max_size=12),
+    fields=st.lists(wire_doubles, min_size=12, max_size=12),
 )
 @settings(max_examples=300, deadline=None)
 def test_particle_roundtrip_bitwise(pid, material, fields):
+    # Through PARTICLE_CODEC, and as the record array the state holds:
+    # the array's bytes are the codec's record, field for field.
     p = Particle(pid, material, *fields)
     out = bytearray()
     PARTICLE_CODEC.serialize(p, out)
     assert len(out) == 108
     q = PARTICLE_CODEC.deserialize(ByteReader(bytes(out)))
     assert particle_bits(q) == particle_bits(p)
+    array = sph.particle_array([p, q])
+    assert array.dtype.itemsize == PARTICLE_WIRE_SIZE
+    assert array.tobytes() == out + out
+    assert particle_bits(array[1]) == particle_bits(p)
 
 
 def test_special_float_values_roundtrip():
@@ -121,16 +138,6 @@ def test_special_float_values_roundtrip():
         PARTICLE_CODEC.serialize(p, out)
         q = PARTICLE_CODEC.deserialize(ByteReader(bytes(out)))
         assert particle_bits(q) == particle_bits(p)
-
-
-# +-0.0, +-inf, NaNs with payloads (quiet, signalling, negative) and
-# subnormals, as bit patterns.
-SPECIAL_DOUBLES = [struct.unpack("<d", struct.pack("<Q", bits))[0]
-                   for bits in (0x0000000000000000, 0x8000000000000000,
-                                0x7FF0000000000000, 0xFFF0000000000000,
-                                0x7FF8000000000000, 0x7FF0000000000001,
-                                0xFFF80000DEADBEEF, 0x0000000000000001,
-                                0x800FFFFFFFFFFFFF)]
 
 
 def assert_tuple_roundtrip(values: tuple) -> None:
@@ -153,8 +160,7 @@ def test_tuple_codec_special_values_roundtrip():
         assert_tuple_roundtrip(tuple(specials[i:] + specials[:i]))
 
 
-@given(st.lists(st.one_of(finite_or_weird, st.sampled_from(SPECIAL_DOUBLES)),
-                min_size=5, max_size=5))
+@given(st.lists(wire_doubles, min_size=5, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_tuple_codec_roundtrip_bitwise(values):
     assert_tuple_roundtrip(tuple(values))
@@ -216,12 +222,23 @@ def test_state_codec_size_matches_emitted_bytes():
     # one record per particle.
     expected = 14 * 8 + 3 * 8 * 4 ** 3 + 8 + 108 * 37
     assert len(out) == expected
-    back = sph.SIM_STATE_CODEC.deserialize(ByteReader(bytes(out)))
+    assert out.endswith(b"".join(particle_bits(p) for p in state.particles))
+    back = sph.SIM_STATE_CODEC.deserialize(ByteReader(out))
     assert particle_bits(back.particles[5]) == particle_bits(state.particles[5])
-    assert back.gravity.cells == state.gravity.cells
+    assert back.gravity.cells.tobytes() == state.gravity.cells.tobytes()
     # the receiving side rebuilds an identical index
     assert back.index.order == state.index.order
     assert back.index.start == state.index.start
+    # The decoded arrays are writable and share no memory with the bytes
+    # they came from: changing either leaves the other as it was.
+    blob = bytes(out)
+    back.particles.x[5] = 9.5
+    back.gravity.cells[0, 0] = 9.5
+    out[-108:] = bytes(108)
+    assert bytes(out[:-108]) == blob[:-108]
+    assert back.particles[36].tobytes() == blob[-108:]
+    assert back.particles[5].x == 9.5
+    assert back.gravity.cells[0, 0] == 9.5
 
 
 @given(st.binary(max_size=64))
