@@ -85,14 +85,13 @@ class TimingReport:
             return 0.0
         return self.items_on_devices / self.items_total
 
-    def write_csv(self, path) -> None:
-        cols = ("step", "phase1_s", "phase2_s", "phase3_s", "phase4_s",
-                "render_s", "coproc_fraction")
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(cols)
-            for row in self.rows:
-                w.writerow([row[c] for c in cols])
+
+def _write_csv(path, columns, rows) -> None:
+    """A header row of ``columns``, then each row's values in that order."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows([row[c] for c in columns] for row in rows)
 
 
 def _parse_pair(text: str, sep: str = "x") -> tuple[int, int]:
@@ -294,20 +293,16 @@ def run(config: RunConfig, log=print) -> tuple[int, TimingReport]:
         print(f"error: rendering failed: {render_error[0]}", file=sys.stderr)
         return 1, report
 
-    report.write_csv(out / "timing.csv")
-    _write_unit_csv(out / "run_stats.csv", report.items_by_unit)
+    _write_csv(out / "timing.csv", ("step", "phase1_s", "phase2_s",
+                                    "phase3_s", "phase4_s", "render_s",
+                                    "coproc_fraction"), report.rows)
+    _write_csv(out / "run_stats.csv", ("unit", "items"),
+               [{"unit": u, "items": n}
+                for u, n in sorted(report.items_by_unit.items())])
     log(f"{config.steps} steps, {config.particles} particles, "
         f"{report.total_seconds:.3f}s total, "
         f"coproc fraction {report.coproc_fraction:.2f}")
     return 0, report
-
-
-def _write_unit_csv(path, items_by_unit: dict) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("unit", "items"))
-        for unit in sorted(items_by_unit):
-            w.writerow((unit, items_by_unit[unit]))
 
 
 def run_synthetic(n_items: int, device_specs, host_workers: int,
@@ -373,14 +368,9 @@ def bench(config: RunConfig, log=print) -> tuple[int, list[dict]]:
             log(f"bench particles={n} devices={ndev} total={total:.3f}s "
                 f"speedup={row['speedup_vs_host_only']:.2f} "
                 f"coproc={frac:.2f}")
-    with open(out / "sweep.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("particles", "devices", "total_s", "speedup_vs_host_only",
-                    "coproc_fraction"))
-        for row in rows:
-            w.writerow([row[c] for c in ("particles", "devices", "total_s",
-                                         "speedup_vs_host_only",
-                                         "coproc_fraction")])
+    _write_csv(out / "sweep.csv", ("particles", "devices", "total_s",
+                                   "speedup_vs_host_only", "coproc_fraction"),
+               rows)
     return 0, rows
 
 

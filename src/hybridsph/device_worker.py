@@ -34,7 +34,7 @@ import queue
 import socket
 import threading
 
-from . import functors  # noqa: F401  (registers the standard functor codecs)
+from . import functors, sph  # noqa: F401  (register the functor codecs)
 from . import transport
 from .runtime import (WORK_BLOCK_MSG, block_applier, decode_block,
                       encode_block, result_codec)

@@ -9,12 +9,13 @@ output is identical for any worker count.
 
 A row is an array program: every sample point of every ray of the row is
 queried through ``SpatialIndex.table``, at most ``_TABLE_POINTS`` points per
-call, and the density and colour sums add one neighbour column at a time,
-in the order of the scalar sum. The per-ray compositing loop then runs over
-those samples. ``composite_ray`` with ``sample_medium`` is the scalar
-reference: it walks ``SpatialIndex.within`` one sample at a time, and every
-pixel and sample count of a frame equals it bitwise. numpy is imported
-inside the functions that use it.
+call, and the density and colour sums add one neighbour column at a time
+with ``sph.column_sums``, the rule of the SPH phases, in the order of the
+scalar sum. The per-ray compositing loop then runs over those samples.
+``composite_ray`` with ``sample_medium`` is the scalar reference: it walks
+``SpatialIndex.within`` one sample at a time, and every pixel and sample
+count of a frame equals it bitwise. numpy is imported inside the functions
+that use it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .grid import build_index
 from .runtime import hybrid_for_each
-from .sph import SimulationState, kernel_w, kernel_w_array
+from .sph import SimulationState, column_sums, kernel_w, kernel_w_array
 
 _TABLE_POINTS = 1024  # sample points per SpatialIndex.table call
 
@@ -304,9 +305,9 @@ class _RowAction:
         """``sample_medium`` at every point: density and the three colour
         sums as a ``(4, points)`` array, each with the scalar sum's bits.
 
-        Each sum starts at 0.0 and adds one neighbour column of
-        ``SpatialIndex.table`` at a time, skipping padded slots with
-        ``np.where``, so it adds the scalar loop's terms in its order.
+        Each sum starts at 0.0 and adds the neighbour columns of
+        ``SpatialIndex.table`` with ``sph.column_sums``, so it adds the
+        scalar loop's terms in its order.
         """
         import numpy as np
 
@@ -318,12 +319,7 @@ class _RowAction:
             idx, _, _, _, r2, valid = table(xs[s:e], ys[s:e], zs[s:e], h)
             w = self.mass[idx] * kernel_w_array(np.sqrt(r2), h)
             terms = (w, *(w * c[idx] for c in self.colors))
-            sums = list(out[:, s:e])
-            for k in range(w.shape[1]):
-                on = valid[:, k]
-                sums = [np.where(on, a + t[:, k], a)
-                        for a, t in zip(sums, terms)]
-            out[:, s:e] = sums
+            out[:, s:e] = column_sums(out[:, s:e], terms, valid, np.add)
         return out
 
     def apply(self, py: int) -> tuple[bytes, int]:

@@ -12,11 +12,14 @@ Every field sum adds its terms in the order of ``SpatialIndex.within``,
 which the particle array and the grid fully determine, so host and device
 evaluate identical floating-point sequences. The scalar phase functions
 (``phase2_density_gravity``, ``phase3_pressure``) are loops over that walk
-and stay the reference. The step runs their array twins
-(``density_gravity_rows``, ``pressure_rows``): column sums over
-``SpatialIndex.table`` for a list of rows of a column snapshot
-(``phase_columns``), which add the same terms in the same order and give
-the same bits. The particles are one record array in the wire layout of
+and stay the reference. The step runs their array twins, the phase actions
+``DensityGravityAction`` and ``PressureForceAction``: each states once the
+columns it reads, the fields it writes and its kernel, takes a column
+snapshot of the state when it is built, and sums over one
+``SpatialIndex.table`` per block of rows with :func:`column_sums`, which
+adds the same terms in the same order and gives the same bits. They are
+also the functors that ship to devices, registered here under their wire
+names. The particles are one record array in the wire layout of
 ``Particle`` (``particle_dtype``). numpy is imported inside the functions
 that use it.
 """
@@ -32,7 +35,8 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from .grid import GridSpec, SpatialIndex, build_index, cell_coords, cell_ids
-from .wire import ByteReader, RecordCodec
+from .wire import (ByteReader, RecordCodec, StructCodec, TupleCodec,
+                   register_functor)
 
 _PI = math.pi
 _GRAVITY_CHUNK = 32  # cells per block of the gravity sum
@@ -396,83 +400,6 @@ def phase3_pressure(state: SimulationState, p: Particle) -> Particle:
     return p
 
 
-def phase_columns(state: SimulationState, fields: Sequence[str]) -> dict:
-    """Column snapshot of a state for the array phases.
-
-    Holds a contiguous copy (the rows gather from it) of the positions and
-    of each named particle column, and the gravity field's cells under
-    ``gravity``. Taken before a phase, it is the pre-phase snapshot the
-    phase reads.
-    """
-    import numpy as np
-
-    cols = {name: np.array(state.particles[name])
-            for name in ("x", "y", "z", *fields)}
-    cols["gravity"] = state.gravity.cells
-    return cols
-
-
-def density_gravity_rows(state: SimulationState, cols: dict,
-                         rows: Sequence[int]) -> tuple:
-    """:func:`phase2_density_gravity` for the particles ``rows`` of the
-    snapshot ``cols`` (fields ``mass``), as arrays in ``rows`` order with
-    the same bits: ``(density, pressure, ax, ay, az)``.
-
-    Each density starts at 0.0 and adds one neighbour column of
-    ``SpatialIndex.table`` at a time, so every row adds the terms of the
-    scalar loop in its order. Padded slots are skipped with ``np.where``.
-    """
-    import numpy as np
-
-    params = state.params
-    h = params.h
-    rows = np.asarray(rows, dtype=np.intp)
-    xs, ys, zs = cols["x"][rows], cols["y"][rows], cols["z"][rows]
-    idx, _, _, _, r2, valid = state.index.table(xs, ys, zs, h)
-    w = cols["mass"][idx] * kernel_w_array(np.sqrt(r2), h)
-    rho = np.zeros(len(rows))
-    for k in range(w.shape[1]):
-        rho = np.where(valid[:, k], rho + w[:, k], rho)
-    g = cols["gravity"][cell_ids(xs, ys, zs, state.gravity.grid)]
-    return rho, params.k_eos * rho, g[:, 0], g[:, 1], g[:, 2]
-
-
-def pressure_rows(state: SimulationState, cols: dict,
-                  rows: Sequence[int]) -> tuple:
-    """:func:`phase3_pressure` for the particles ``rows`` of the snapshot
-    ``cols`` (fields ``mass``, ``density``, ``pressure``, ``ax``, ``ay``,
-    ``az``), as arrays in ``rows`` order with the same bits: ``ax, ay, az``.
-
-    Each row starts from its own snapshot acceleration and subtracts one
-    neighbour column at a time, skipping padded slots and ``r2 == 0`` as
-    the scalar loop does. Masks select with ``np.where``: multiplying by a
-    mask could turn ``-0.0`` into ``+0.0``.
-    """
-    import numpy as np
-
-    h = state.params.h
-    rows = np.asarray(rows, dtype=np.intp)
-    mass, dens, prs = cols["mass"], cols["density"], cols["pressure"]
-    idx, dx, dy, dz, r2, valid = state.index.table(
-        cols["x"][rows], cols["y"][rows], cols["z"][rows], h)
-    d = dens[rows]
-    dj = dens[idx]
-    r = np.sqrt(r2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r == 0 is skipped
-        self_term = prs[rows] / (d * d)
-        coef = (mass[idx] * (self_term[:, None] + prs[idx] / (dj * dj))
-                * kernel_dw_array(r, h) / r)
-    live = valid & (r2 > 0.0)
-    ax, ay, az = cols["ax"][rows], cols["ay"][rows], cols["az"][rows]
-    for k in range(coef.shape[1]):
-        on = live[:, k]
-        c = coef[:, k]
-        ax = np.where(on, ax - c * dx[:, k], ax)
-        ay = np.where(on, ay - c * dy[:, k], ay)
-        az = np.where(on, az - c * dz[:, k], az)
-    return ax, ay, az
-
-
 def phase4_integrate(p: Particle, dt: float) -> Particle:
     """Semi-implicit Euler: v += a dt, then pos += v dt; acceleration resets
     to zero so each step is self-contained."""
@@ -540,6 +467,169 @@ SIM_STATE_CODEC = SimStateCodec()
 
 
 # ---------------------------------------------------------------------------
+# Phase actions
+# ---------------------------------------------------------------------------
+
+BLOCK_ROWS = 256  # rows an SPH phase action computes together
+
+
+def column_sums(sums, terms, mask, combine) -> list:
+    """Fold each ``(rows, K)`` array of ``terms`` into its start in
+    ``sums`` one neighbour column at a time, as ``a = combine(a, t[:, k])``
+    where ``mask[:, k]`` holds, so every row adds the scalar loop's terms
+    in its order and gets its bits. Masks select with ``np.where``:
+    multiplying by a mask could turn ``-0.0`` into ``+0.0``. ``combine``
+    is the scalar loop's own ufunc; ``a -= t`` needs ``np.subtract``,
+    because ``a + (-t)`` flips the sign of a NaN ``t``.
+    """
+    import numpy as np
+
+    sums = list(sums)
+    for k in range(mask.shape[1]):
+        on = mask[:, k]
+        sums = [np.where(on, combine(a, t[:, k]), a)
+                for a, t in zip(sums, terms)]
+    return sums
+
+
+class _SnapshotAction:
+    """An SPH phase over a column snapshot of the state, taken when the
+    action is built: on the host just before the call, on a device when it
+    is decoded. A phase names the particle columns it ``reads``, the f8
+    fields it ``writes`` and its ``kernel``, which gets the row ids of a
+    block, their positions and their ``SpatialIndex.table`` and returns one
+    array per written field. The snapshot holds contiguous copies (the rows
+    gather from them) of the positions and of the columns read. Items are
+    row ids (unsigned on the wire; a row past the end raises
+    ``IndexError``); a result is the tuple of the written fields.
+
+    The class is its own functor codec: the wire bytes are the whole
+    simulation state, and the receiving side rebuilds the spatial index.
+    """
+
+    __slots__ = ("state", "cols")
+
+    item_codec = StructCodec("<I")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.result_codec = TupleCodec(f"<{len(cls.writes)}d")
+
+    def __init__(self, state: SimulationState):
+        import numpy as np
+
+        self.state = state
+        self.cols = {name: np.array(state.particles[name])
+                     for name in ("x", "y", "z", *self.reads)}
+
+    @staticmethod
+    def serialize(f, out: bytearray) -> None:
+        SIM_STATE_CODEC.serialize(f.state, out)
+
+    @classmethod
+    def deserialize(cls, r: ByteReader):
+        return cls(SIM_STATE_CODEC.deserialize(r))
+
+    def apply_block(self, rows: list) -> list:
+        import numpy as np
+
+        rows = np.asarray(rows, dtype=np.intp)
+        xyz = tuple(self.cols[c][rows] for c in "xyz")
+        table = self.state.index.table(*xyz, self.state.params.h)
+        arrays = self.kernel(rows, xyz, table)
+        return list(zip(*(a.tolist() for a in arrays)))
+
+    def apply(self, row: int) -> tuple:
+        return self.apply_block([row])[0]
+
+
+class DensityGravityAction(_SnapshotAction):
+    """:func:`phase2_density_gravity` over blocks of rows, with its bits.
+
+    Each density starts at 0.0 and adds one neighbour column at a time;
+    pressure follows from it, and the acceleration is the gravity field
+    vector of the particle's cell.
+    """
+
+    __slots__ = ()
+
+    wire_name = "sph-density-gravity"
+    reads = ("mass",)
+    writes = ("density", "pressure", "ax", "ay", "az")
+
+    def kernel(self, rows, xyz, table) -> tuple:
+        import numpy as np
+
+        params, gravity = self.state.params, self.state.gravity
+        idx, _, _, _, r2, valid = table
+        w = self.cols["mass"][idx] * kernel_w_array(np.sqrt(r2), params.h)
+        (rho,) = column_sums([np.zeros(len(rows))], [w], valid, np.add)
+        g = gravity.cells[cell_ids(*xyz, gravity.grid)]
+        return rho, params.k_eos * rho, g[:, 0], g[:, 1], g[:, 2]
+
+
+class PressureForceAction(_SnapshotAction):
+    """:func:`phase3_pressure` over blocks of rows, with its bits.
+
+    Each row starts from its own snapshot acceleration and subtracts one
+    neighbour column at a time, skipping padded slots and ``r2 == 0`` as
+    the scalar loop does.
+    """
+
+    __slots__ = ()
+
+    wire_name = "sph-pressure"
+    reads = ("mass", "density", "pressure", "ax", "ay", "az")
+    writes = ("ax", "ay", "az")
+
+    def kernel(self, rows, xyz, table) -> tuple:
+        import numpy as np
+
+        cols, h = self.cols, self.state.params.h
+        mass, dens, prs = cols["mass"], cols["density"], cols["pressure"]
+        idx, dx, dy, dz, r2, valid = table
+        d = dens[rows]
+        dj = dens[idx]
+        r = np.sqrt(r2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # r == 0 is skipped
+            self_term = prs[rows] / (d * d)
+            coef = (mass[idx] * (self_term[:, None] + prs[idx] / (dj * dj))
+                    * kernel_dw_array(r, h) / r)
+        return column_sums([cols[a][rows] for a in ("ax", "ay", "az")],
+                           [coef * dx, coef * dy, coef * dz],
+                           valid & (r2 > 0.0), np.subtract)
+
+
+class IntegrateAction:
+    """Phase 4 in place on rows of a particle array (items and results are
+    row ids): ``v += a*dt``, then ``x += v*dt``, then ``a = 0``, with the
+    bits of :func:`phase4_integrate`. Host-local only, never offloaded."""
+
+    def __init__(self, particles, dt: float):
+        self.particles, self.dt = particles, dt
+
+    def apply_block(self, rows: list) -> list:
+        import numpy as np
+
+        p, dt = self.particles, self.dt
+        i = np.asarray(rows, dtype=np.intp)
+        for v, x, a in (("vx", "x", "ax"), ("vy", "y", "ay"),
+                        ("vz", "z", "az")):
+            vel = p[v][i] + p[a][i] * dt
+            p[v][i] = vel
+            p[x][i] += vel * dt
+            p[a][i] = 0.0
+        return rows
+
+    def apply(self, row: int) -> int:
+        return self.apply_block([row])[0]
+
+
+register_functor(DensityGravityAction.wire_name, DensityGravityAction)
+register_functor(PressureForceAction.wire_name, PressureForceAction)
+
+
+# ---------------------------------------------------------------------------
 # Scene construction and stepping
 # ---------------------------------------------------------------------------
 
@@ -603,7 +693,8 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     updates its rows in place, with local parallelism only; shipping it
     costs more than it saves.
     """
-    from . import functors
+    # Looked up per call, so that wrapping runtime.hybrid_for_each (as
+    # bench/hooks.py does) sees every phase.
     from .runtime import connect_devices, hybrid_for_each
 
     timing = StepTiming()
@@ -616,8 +707,8 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     timing.items_total = 2 * n
 
     for phase_name, action in (
-            ("phase2_s", functors.DensityGravityAction),
-            ("phase3_s", functors.PressureForceAction)):
+            ("phase2_s", DensityGravityAction),
+            ("phase3_s", PressureForceAction)):
         t0 = time.perf_counter()
         functor = action(state)
         snapshot_s = time.perf_counter() - t0
@@ -626,7 +717,7 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
         results = list(range(n))  # row ids, each replaced by its result
         stats = hybrid_for_each(results, functor, devices,
                                 host_workers=host_workers,
-                                chunk=functors.BLOCK_ROWS)
+                                chunk=BLOCK_ROWS)
         for name, column in zip(functor.writes, zip(*results)):
             state.particles[name] = column
         setattr(timing, phase_name, snapshot_s + time.perf_counter() - t0)
@@ -634,10 +725,9 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
         timing.items_on_devices += stats.device_items
 
     t0 = time.perf_counter()
-    integrate = functors.IntegrateAction(state.particles, state.params.dt)
+    integrate = IntegrateAction(state.particles, state.params.dt)
     stats4 = hybrid_for_each(list(range(n)), integrate, (),
-                             host_workers=host_workers,
-                             chunk=functors.BLOCK_ROWS)
+                             host_workers=host_workers, chunk=BLOCK_ROWS)
     timing.phase4_s = time.perf_counter() - t0
     timing.stats.append(stats4)
     return timing

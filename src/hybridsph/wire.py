@@ -146,8 +146,8 @@ I64_CODEC = StructCodec("<q")
 # class registers a codec under a stable wire name; the device looks the
 # codec up by that name to rebuild its own copy of the functor (and whatever
 # shared state it carries). Both processes must import the registering
-# module, which is why the device worker imports hybridsph.functors at
-# startup.
+# module, which is why the device worker imports hybridsph.functors and
+# hybridsph.sph at startup.
 # ---------------------------------------------------------------------------
 
 _FUNCTOR_CODECS: dict[str, Codec] = {}

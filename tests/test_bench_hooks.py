@@ -8,14 +8,17 @@ so a run is checked here as the benchmark checks it.
 """
 
 import random
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
 from hybridsph import cli, render, runtime, sph
-from hybridsph.functors import BLOCK_ROWS, DensityGravityAction, SleepAction
+from hybridsph.functors import SleepAction
 from hybridsph.runtime import DeviceSpec, connect_device
+from hybridsph.sph import BLOCK_ROWS, DensityGravityAction
 from hybridsph.transport import LinkConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -72,6 +75,29 @@ def test_trace_hooks_count_a_phase_block_call(hooks):
     assert not stats.devices_lost, stats.device_errors
     assert rec.tally("runtime.packed_items")[0] == stats.device_items == 700
     assert len(rec.spans["runtime.block_rtt"]) == rec.tally("runtime.pack")[0]
+
+
+def test_step_calls_the_runtime_seen_by_the_hooks(monkeypatch):
+    # The hooks rebind runtime.hybrid_for_each, so the step must look it up
+    # per call: one call per phase 2, 3 and 4.
+    calls = []
+    original = runtime.hybrid_for_each
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "hybrid_for_each", counted)
+    sph.simulation_step(sph.make_scene(300, seed=4))
+    assert [type(f) for f in calls] == [sph.DensityGravityAction,
+                                        sph.PressureForceAction,
+                                        sph.IntegrateAction]
+    # A device imports only device_worker; it must still decode both
+    # phases by their wire names.
+    code = ("import hybridsph.device_worker, hybridsph.wire as w; "
+            "[w.functor_codec(n) for n in ('sph-density-gravity', "
+            "'sph-pressure')]")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def test_benchmark_checks_pass_on_a_captured_run(hooks, tmp_path):

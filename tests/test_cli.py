@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from hybridsph import cli
+from hybridsph import cli, sph
 from hybridsph.cli import RunConfig, bench, parse_config, run
 
 
@@ -101,6 +101,25 @@ class TestRun:
         assert len(rows) == 2
         assert float(rows[0]["coproc_fraction"]) == 0.0
         assert (tmp_path / "run" / "run_stats.csv").exists()
+
+    def test_empty_scene(self, tmp_path):
+        # Zero particles: every phase is a call over zero rows, and a run
+        # writes a background frame and both CSVs.
+        state = sph.make_scene(0)
+        timing = sph.simulation_step(state)
+        assert len(state.particles) == 0 and len(timing.stats) == 3
+        assert timing.items_total == timing.items_on_devices == 0
+        cfg = parse_config(["--particles", "0", "--steps", "1",
+                            "--resolution", "4x3", "--host-workers", "1",
+                            "--out", str(tmp_path / "run")])
+        status, report = run(cfg, log=quiet)
+        assert status == 0 and report.items_total == 0
+        frame = (tmp_path / "run" / "frame_00000.ppm").read_bytes()
+        assert frame == b"P6\n4 3\n255\n" + bytes(4 * 3 * 3)
+        with open(tmp_path / "run" / "timing.csv") as f:
+            assert [r["step"] for r in csv.DictReader(f)] == ["0"]
+        with open(tmp_path / "run" / "run_stats.csv") as f:
+            assert all(r["items"] == "0" for r in csv.DictReader(f))
 
     def test_total_time_covers_phase_sums(self, tmp_path):
         cfg = RunConfig(particles=150, steps=2, resolution=(8, 8),

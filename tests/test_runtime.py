@@ -10,12 +10,12 @@ from dataclasses import dataclass
 import pytest
 
 from hybridsph import cli, device_worker, runtime, sph, transport
-from hybridsph.functors import (BLOCK_ROWS, AffineAction, DensityGravityAction,
-                                JitterSleepAction, PressureForceAction,
-                                SleepAction)
+from hybridsph.functors import AffineAction, JitterSleepAction, SleepAction
 from hybridsph.runtime import (DeviceSpec, WorkQueue, connect_device,
                                decode_block, encode_block, hybrid_for_each,
                                pack_block, parse_block)
+from hybridsph.sph import (BLOCK_ROWS, DensityGravityAction,
+                           PressureForceAction)
 from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
                                  MessageKind, PeerClosedError, SpawnError,
                                  TraceRecorder, create_endpoint_pair,

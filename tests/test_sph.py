@@ -12,18 +12,16 @@ import sys
 import numpy as np
 import pytest
 
-from hybridsph.functors import (BLOCK_ROWS, DensityGravityAction,
-                                IntegrateAction, PressureForceAction)
 from hybridsph.grid import GridSpec
 from hybridsph.runtime import hybrid_for_each
-from hybridsph.sph import (Particle, SimParams, SimulationState,
-                           build_gravity_field, density_gravity_rows,
+from hybridsph.sph import (BLOCK_ROWS, DensityGravityAction, IntegrateAction,
+                           Particle, PressureForceAction, SimParams,
+                           SimulationState, build_gravity_field,
                            field_property, kernel_dw, kernel_dw_array,
                            kernel_w, kernel_w_array, make_scene,
                            particle_array, phase1_prepare,
                            phase2_density_gravity, phase3_pressure,
-                           phase4_integrate, phase_columns, pressure_rows,
-                           simulation_step)
+                           phase4_integrate, simulation_step)
 
 from conftest import (brute_density, brute_field, brute_gravity_at,
                       brute_pressure_accel, lone_particle_positions,
@@ -463,20 +461,16 @@ class TestArrayPhases:
         state = prepared_state(600, seed=19, equal_mass=False)
         n = len(state.particles)
         shuffled = random.Random(19).sample(range(n), n)
-        for rows, fields in (
-                (density_gravity_rows, ("mass",)),
-                (pressure_rows, ("mass", "density", "pressure",
-                                 "ax", "ay", "az"))):
-            cols = phase_columns(state, fields)
-            whole = np.stack(rows(state, cols, list(range(n))), axis=1)
-            singles = np.concatenate([np.stack(rows(state, cols, [i]),
-                                               axis=1) for i in range(n)])
+        for action in (DensityGravityAction, PressureForceAction):
+            rows = action(state).apply_block
+            whole = np.array(rows(list(range(n))))
+            singles = np.concatenate([np.array(rows([i])) for i in range(n)])
             assert whole.tobytes() == singles.tobytes()
             # Any order and grouping of rows gives each row the same bits.
             mixed = np.empty_like(whole)
             for lo in range(0, n, 77):
                 part = shuffled[lo:lo + 77]
-                mixed[part] = np.stack(rows(state, cols, part), axis=1)
+                mixed[part] = np.array(rows(part))
             assert mixed.tobytes() == whole.tobytes()
 
     def test_row_past_the_end_raises_index_error(self):

@@ -8,11 +8,12 @@ import time
 
 import pytest
 
-from hybridsph.functors import (AffineAction, BLOCK_ROWS,
-                                DensityGravityAction, PressureForceAction)
+from hybridsph.functors import AffineAction
 from hybridsph.runtime import (DeviceSpec, connect_device, hybrid_for_each,
                                parse_block)
-from hybridsph.sph import make_scene, phase1_prepare, phase2_density_gravity
+from hybridsph.sph import (BLOCK_ROWS, DensityGravityAction,
+                           PressureForceAction, make_scene, phase1_prepare,
+                           phase2_density_gravity)
 from hybridsph.transport import (PROTOCOL_VERSION, HandshakeTimeoutError,
                                  LinkConfig, Message, MessageKind,
                                  PeerClosedError, SpawnError, TraceRecorder,
