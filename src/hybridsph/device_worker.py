@@ -21,9 +21,9 @@ its items.
 
 Runs identically as a thread (in-process transport) or as the main loop of
 the worker executable (subprocess transport, ``python -m
-hybridsph.device_worker --connect <host:port> --workers <n> --bandwidth <B/s>
---latency <s>``), which makes one TCP connection to the host and carries the
-whole link over it.
+hybridsph.device_worker --fd <n> --workers <n> --bandwidth <B/s> --latency
+<s>``), which carries the whole link over the socket it inherits from the
+host as file descriptor ``--fd``.
 """
 
 from __future__ import annotations
@@ -157,16 +157,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hybridsph-device-worker",
         description="Device-side worker process; launched by the host.")
-    parser.add_argument("--connect", required=True, metavar="HOST:PORT")
+    parser.add_argument("--fd", required=True, type=int)
     parser.add_argument("--workers", required=True, type=int)
     parser.add_argument("--bandwidth", required=True, type=float)
     parser.add_argument("--latency", required=True, type=float)
     args = parser.parse_args(argv)
-    host, _, port = args.connect.rpartition(":")
-    sock = socket.create_connection((host, int(port)), timeout=60.0)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.settimeout(None)
-
+    sock = socket.socket(fileno=args.fd)
     endpoint = transport.socket_endpoint("device", sock, LinkConfig(
         bandwidth=args.bandwidth, latency=args.latency, kind="subprocess"))
     serve(endpoint, args.workers)

@@ -12,14 +12,15 @@ Two transports implement the same contract:
 
 * in-process: one queue per direction, payloads copied at the boundary so
   each side owns its bytes (same isolation a DMA copy gives);
-* subprocess: a device worker process reached over one local TCP
-  connection, a genuinely separate address space.
+* subprocess: a device worker process, a genuinely separate address
+  space, reached over one socket pair whose other end it inherits when it
+  is spawned (``pass_fds``, so this transport needs POSIX).
 
 Both carry (delivery deadline, bytes) pairs: the sender stamps each send
 with the ``time.monotonic()`` instant the simulated link would deliver it,
 and the receiver sleeps until then. Host and device share that clock (the
-subprocess link binds 127.0.0.1 only), so both transports exhibit the same
-timing model without any thread of their own.
+subprocess device is a child on the same machine), so both transports
+exhibit the same timing model without any thread of their own.
 
 A device gets its link parameters and worker count when it is spawned, so
 the handshake is one message: the device's HELLO with its protocol version.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import os
 import queue
+import signal
 import socket
 import struct
 import subprocess
@@ -44,7 +46,6 @@ PROTOCOL_VERSION = 4
 _MESSAGE_HEADER = struct.Struct("<IQ")   # kind u32, payload_length u64
 _FRAME = struct.Struct("<dQ")            # socket framing: deadline f64, length u64
 _HELLO_DEVICE = struct.Struct("<I")      # version
-_ACCEPT_POLL = 0.05                      # s between worker liveness checks
 
 
 class TransportError(Exception):
@@ -377,28 +378,6 @@ def device_hello(version: int) -> Message:
     return Message(MessageKind.HELLO, _HELLO_DEVICE.pack(version))
 
 
-def _accept(listener: socket.socket, proc: subprocess.Popen,
-            timeout: float) -> socket.socket:
-    """Accept the worker's connection, polling the worker meanwhile so one
-    that exits at startup fails at once with its exit code."""
-    deadline = time.monotonic() + timeout
-    listener.settimeout(_ACCEPT_POLL)
-    while True:
-        try:
-            conn, _addr = listener.accept()
-        except socket.timeout:
-            code = proc.poll()
-            if code is not None:
-                raise SpawnError(f"device worker exited with code {code} "
-                                 "before connecting") from None
-            if time.monotonic() >= deadline:
-                raise HandshakeTimeoutError(
-                    "device worker did not connect in time") from None
-            continue
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return conn
-
-
 def connect(config: LinkConfig, worker_count: int, *,
             trace: TraceRecorder | None = None,
             worker_command: list[str] | None = None,
@@ -407,10 +386,10 @@ def connect(config: LinkConfig, worker_count: int, *,
     """Bring up one device and check its HELLO.
 
     In-process: spawns the device master loop on a thread. Subprocess:
-    launches the device worker executable and accepts its one local
-    connection. A worker that exits before connecting raises
-    ``SpawnError`` with its exit code; on every failure the worker is
-    killed and reaped.
+    launches the device worker executable with one end of a socket pair
+    (``--fd``) and keeps the other. A worker that exits or drops its link
+    before its HELLO raises ``SpawnError`` with its exit code; on every
+    failure the worker is killed and reaped.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
@@ -431,13 +410,9 @@ def connect(config: LinkConfig, worker_count: int, *,
             raise
         return DeviceHandle(host_ep, worker_count, master_thread=master)
 
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
+    host_end, child_end = socket.socketpair()
     cmd = worker_command or [sys.executable, "-m", "hybridsph.device_worker",
-                             "--connect", f"127.0.0.1:{port}",
+                             "--fd", str(child_end.fileno()),
                              "--workers", str(worker_count),
                              "--bandwidth", repr(config.bandwidth),
                              "--latency", repr(config.latency)]
@@ -445,23 +420,27 @@ def connect(config: LinkConfig, worker_count: int, *,
     # import about 70 ms faster; a setting of the caller's own wins.
     env = {"OPENBLAS_NUM_THREADS": "1", **os.environ}
     try:
-        proc = subprocess.Popen(cmd, env=env)
+        proc = subprocess.Popen(cmd, env=env, pass_fds=(child_end.fileno(),))
     except OSError as exc:
-        listener.close()
+        host_end.close()
         raise SpawnError(f"cannot launch device worker: {exc}") from exc
-
-    try:
-        endpoint = socket_endpoint(
-            "host", _accept(listener, proc, handshake_timeout), config, trace)
-        try:
-            _host_handshake(endpoint, handshake_timeout)
-        except BaseException:
-            endpoint.close()
-            raise
-    except BaseException:
-        proc.kill()
-        proc.wait()
-        raise
     finally:
-        listener.close()
+        # Only the child holds its end now, so its death reads as EOF here.
+        child_end.close()
+
+    endpoint = socket_endpoint("host", host_end, config, trace)
+    try:
+        _host_handshake(endpoint, handshake_timeout)
+    except BaseException as exc:
+        endpoint.close()
+        # An exiting child's code is fixed before the kernel closes its end,
+        # so this kill cannot overwrite the code of one that exited itself.
+        proc.kill()
+        code = proc.wait()
+        if isinstance(exc, PeerClosedError):  # it died or dropped its link
+            cause = ("closed its link and was killed"
+                     if code == -signal.SIGKILL else f"exited with code {code}")
+            raise SpawnError(
+                f"device worker {cause} before its HELLO") from None
+        raise
     return DeviceHandle(endpoint, worker_count, process=proc)

@@ -1,5 +1,6 @@
 """Hybrid runtime: packing, controllers, and the for-each contract."""
 
+import os
 import random
 import re
 import struct
@@ -504,16 +505,28 @@ class TestDeviceLoss:
             assert not loop.is_alive()
 
 
+def _open_fd_count() -> int | None:
+    """How many descriptors this process holds; None where /proc is absent."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
 class TestHygiene:
     @pytest.mark.parametrize("kind", ["in-process", "subprocess"])
     def test_device_call_leaves_no_threads_or_processes(self, kind):
         spec = DeviceSpec(worker_count=2, link=LinkConfig(kind=kind))
         before = threading.active_count()
+        fds = _open_fd_count()
         dev = connect_device(spec, 0)
         items = list(range(40))
         hybrid_for_each(items, SleepAction(0.0002), [dev], host_workers=1)
         assert items == [v + 1 for v in range(40)]
         assert threading.active_count() == before
+        # A host copy of the device's end left open would leak one
+        # descriptor per call and hide the device's death from the host.
+        assert _open_fd_count() == fds
         if kind == "subprocess":
             assert dev._process.poll() == 0  # exited, and cleanly
 

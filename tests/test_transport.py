@@ -1,6 +1,7 @@
 """Link contract: timing model, FIFO, handshake, faults, transport parity."""
 
 import hashlib
+import os
 import socket
 import struct
 import sys
@@ -260,6 +261,27 @@ class TestConnect:
                                     "raise SystemExit(3)"],
                     handshake_timeout=30)
         assert time.perf_counter() - t0 < 5.0
+
+    def test_worker_that_drops_its_link_fails_fast(self, tmp_path):
+        # The worker closes every inherited descriptor, its link among
+        # them, and stays alive: the host sees EOF before any HELLO, kills
+        # and reaps the worker, and says so rather than wait out the
+        # handshake timeout.
+        pid_file = tmp_path / "pid"
+        t0 = time.perf_counter()
+        with pytest.raises(SpawnError, match="closed its link") as err:
+            connect(LinkConfig(kind="subprocess"), worker_count=1,
+                    worker_command=[sys.executable, "-c",
+                                    "import os, sys, time; "
+                                    "open(sys.argv[1], 'w').write("
+                                    "str(os.getpid())); "
+                                    "os.closerange(3, 1024); time.sleep(20)",
+                                    str(pid_file)],
+                    handshake_timeout=8)
+        assert time.perf_counter() - t0 < 5.0
+        assert "exited" not in str(err.value)
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(int(pid_file.read_text()), 0)
 
     @pytest.mark.parametrize("inherited, code", [(None, 1), ("3", 3)])
     def test_worker_starts_with_one_blas_thread(self, monkeypatch, inherited,
