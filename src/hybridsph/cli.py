@@ -215,9 +215,7 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ValueError("resolution must be at least 1x1")
         if cfg.pipeline and cfg.steps < 1:
             raise ValueError("--pipeline needs at least one step")
-        cfg.device_specs()  # validates worker list against device count
-        LinkConfig(bandwidth=cfg.bandwidth, latency=cfg.latency,
-                   kind=cfg.transport)
+        cfg.device_specs()  # validates the link and the worker counts
     except ValueError as exc:
         parser.error(str(exc))
     return cfg

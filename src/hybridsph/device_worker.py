@@ -14,10 +14,10 @@ sends RESULT_BLOCK and then its blob, which a lock keeps adjacent on the
 one outbound stream. Blocks return whole, possibly out of order, and their
 bytes do not depend on the order in which slices complete.
 
-SHUTDOWN from the host ends the call. An apply or a result encode that
-raises, or a message the protocol does not allow, is answered with SHUTDOWN
-carrying the reason; the host then counts the device as lost and finishes
-its items.
+SHUTDOWN from the host ends the call. A functor the workers cannot apply,
+an apply or a result encode that raises, or a message the protocol does not
+allow, is answered with SHUTDOWN carrying the reason; the host then counts
+the device as lost and finishes its items.
 
 Runs identically as a thread (in-process transport) or as the main loop of
 the worker executable (subprocess transport, ``python -m
@@ -40,7 +40,7 @@ from .runtime import (WORK_BLOCK_MSG, block_applier, decode_block,
                       encode_block, result_codec)
 from .transport import (Endpoint, LinkConfig, Message, MessageKind,
                         TransportError)
-from .wire import ByteReader, decode_functor
+from .wire import ByteReader, Codec, decode_functor
 
 
 class _Block:
@@ -65,12 +65,11 @@ def _report_failure(endpoint: Endpoint, lock: threading.Lock,
             pass  # the host is gone
 
 
-def _worker_loop(endpoint: Endpoint, functor, tasks: queue.SimpleQueue,
-                 lock: threading.Lock) -> None:
-    """Apply slices until the ``None`` sentinel. ``lock`` guards the pending
-    counts and keeps each RESULT_BLOCK message next to its blob."""
-    apply_to = block_applier(functor)
-    codec = result_codec(functor)
+def _worker_loop(endpoint: Endpoint, apply_to, codec: Codec,
+                 tasks: queue.SimpleQueue, lock: threading.Lock) -> None:
+    """Apply slices with ``apply_to`` until the ``None`` sentinel and encode
+    each finished block with ``codec``. ``lock`` guards the pending counts
+    and keeps each RESULT_BLOCK message next to its blob."""
     while (task := tasks.get()) is not None:
         block, positions = task
         try:
@@ -110,9 +109,12 @@ def run_device_worker_loop(endpoint: Endpoint, worker_count: int) -> None:
             if msg.kind == MessageKind.FUNCTOR_STATE and functor is None:
                 name = ByteReader(msg.payload).read_str()
                 functor = decode_functor(name, endpoint.recv_blob())
+                # Here, not in the workers, so that a functor they cannot
+                # apply is reported to the host instead of killing them.
+                args = (endpoint, block_applier(functor),
+                        result_codec(functor), tasks, lock)
                 workers = [threading.Thread(
-                    target=_worker_loop,
-                    args=(endpoint, functor, tasks, lock),
+                    target=_worker_loop, args=args,
                     name=f"device-worker-{i}", daemon=True)
                     for i in range(worker_count)]
                 for w in workers:

@@ -4,10 +4,12 @@ A functor carries everything a device needs to apply it: its own fields plus
 any shared state, all flattened through the codec registered under its
 ``wire_name``. A device copy is rebuilt from those bytes and discarded after
 the call; changes to functor fields on a device are never reflected on the
-host. ``apply`` returns an item's result and may mutate the item in place;
-the optional ``apply_block`` maps a list of items to their results.
-``item_codec`` names the codec for its items, ``result_codec`` (by default
-``item_codec``) the one for its results.
+host. A functor has ``apply_block``, which maps a list of items to their
+results, or else ``apply`` per item, which returns an item's result and
+may mutate the item in place; the runtime calls ``apply_block`` when there
+is one. The value functors here have ``apply``; the SPH actions have
+``apply_block`` only. ``item_codec`` names the codec for its items,
+``result_codec`` (by default ``item_codec``) the one for its results.
 
 A value functor is a dataclass of numbers that declares its wire layout by
 registering ``RecordCodec(<struct format of its fields>, cls)``. This

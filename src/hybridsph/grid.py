@@ -1,8 +1,8 @@
 """Uniform-grid neighbor index over particles.
 
 The index is cell-sorted (Green, "Particle Simulation using CUDA", NVIDIA
-2010): ``order`` lists particle indices by cell and, inside a cell, by
-descending index; the particles of cell ``c`` are
+2010): ``order`` is an int64 array of particle indices by cell and,
+inside a cell, by descending index; the particles of cell ``c`` are
 ``order[start[c]:start[c + 1]]``. Cells ``c0..c1`` of one x-row are
 therefore one contiguous slice, so a neighbour query reads at most one
 slice per (y, z) row of cells it overlaps.
@@ -110,17 +110,16 @@ def cell_of(position: Sequence[float], grid: GridSpec) -> int:
 class SpatialIndex:
     """Cell-sorted particle indices over a :class:`GridSpec`.
 
-    ``order`` and ``start`` are lists, for the scalar walks; the index also
-    keeps the positions it was built from in index order, which ``table``
-    reads. ``build`` may be called again to re-index moved particles.
+    ``order`` and ``start`` are int64 arrays, which every walk reads; the
+    index also keeps the positions it was built from in index order, which
+    ``table`` reads. ``build`` may be called again to re-index moved
+    particles.
     """
 
-    __slots__ = ("grid", "order", "start", "_order", "_start", "_sorted")
+    __slots__ = ("grid", "order", "start", "_sorted")
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        self.order: list[int] = []
-        self.start: list[int] = [0] * (grid.cell_count + 1)
 
     def build(self, particles) -> "SpatialIndex":
         """Sort all particles by cell, and by descending index inside a cell.
@@ -137,11 +136,9 @@ class SpatialIndex:
         start = np.zeros(self.grid.cell_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(cell, minlength=self.grid.cell_count),
                   out=start[1:])
-        self._order = order
-        self._start = start
+        self.order = order
+        self.start = start
         self._sorted = (xs[order], ys[order], zs[order])
-        self.order = order.tolist()
-        self.start = start.tolist()
         return self
 
     def within(self, particles, x: float, y: float, z: float,
@@ -200,7 +197,7 @@ class SpatialIndex:
         # fewer rows than the widest gets empty slices.
         begins = []
         lengths = []
-        start = self._start
+        start = self.start
         for b in range(int((z1 - z0).max(initial=0)) + 1):
             iz = np.minimum(z0 + b, z1)
             for a in range(int((y1 - y0).max(initial=0)) + 1):
@@ -230,7 +227,7 @@ class SpatialIndex:
         col = np.arange(len(keep)) - np.repeat(np.cumsum(counts) - counts,
                                                counts)
         out = []
-        for values in (self._order[pos[keep]], dx[keep], dy[keep], dz[keep],
+        for values in (self.order[pos[keep]], dx[keep], dy[keep], dz[keep],
                        r2[keep]):
             padded = np.zeros((m, k), dtype=values.dtype)
             padded[row, col] = values

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from . import transport
 from .transport import (DeviceHandle, LinkConfig, Message, MessageKind,
-                        TraceRecorder, TransportError)
+                        TransportError)
 from .wire import ByteReader, Codec, encode_functor, encode_str
 
 BLOCK_HEADER = struct.Struct("<QI")      # block_id u64, item_count u32
@@ -51,7 +51,9 @@ class WorkQueue:
 
     Low-priority work is just a counter over [0, end_index); put-backs go to
     a FIFO high-priority list served before any counter index. All
-    operations are atomic with respect to concurrent takers.
+    operations are atomic with respect to concurrent takers. A ``trace``
+    list gets every take and put-back, appended inside the lock, so it
+    holds the order in which concurrent takers really ran.
     """
 
     def __init__(self, end_index: int, trace: list | None = None):
@@ -155,13 +157,15 @@ def result_codec(functor) -> Codec:
 def block_applier(functor):
     """``apply_to(sequence, indices)`` sets each ``sequence[i]`` to its
     result: one ``apply_block`` call, or ``apply`` per item without it."""
-    apply, apply_block = functor.apply, getattr(functor, "apply_block", None)
+    apply_block = getattr(functor, "apply_block", None)
+    if apply_block is None:
+        apply = functor.apply
 
-    def apply_to(sequence, indices) -> None:
-        if apply_block is None:
+        def apply_to(sequence, indices) -> None:
             for i in indices:
                 sequence[i] = apply(sequence[i])
-        else:
+    else:
+        def apply_to(sequence, indices) -> None:
             results = apply_block([sequence[i] for i in indices])
             for i, value in zip(indices, results, strict=True):
                 sequence[i] = value
@@ -176,11 +180,10 @@ class DeviceSpec:
     link: LinkConfig = field(default_factory=LinkConfig)
 
 
-def connect_device(spec: DeviceSpec, index: int = 0,
-                   trace: TraceRecorder | None = None) -> DeviceHandle:
+def connect_device(spec: DeviceSpec, index: int = 0) -> DeviceHandle:
     """Connect one device per its spec, labelled ``device/<index>``; it
     serves one hybrid_for_each call, which closes it."""
-    handle = transport.connect(spec.link, spec.worker_count, trace=trace)
+    handle = transport.connect(spec.link, spec.worker_count)
     handle.label = f"device/{index}"
     return handle
 

@@ -539,9 +539,6 @@ class _SnapshotAction:
         arrays = self.kernel(rows, xyz, table)
         return list(zip(*(a.tolist() for a in arrays)))
 
-    def apply(self, row: int) -> tuple:
-        return self.apply_block([row])[0]
-
 
 class DensityGravityAction(_SnapshotAction):
     """:func:`phase2_density_gravity` over blocks of rows, with its bits.
@@ -620,9 +617,6 @@ class IntegrateAction:
             p[x][i] += vel * dt
             p[a][i] = 0.0
         return rows
-
-    def apply(self, row: int) -> int:
-        return self.apply_block([row])[0]
 
 
 register_functor(DensityGravityAction.wire_name, DensityGravityAction)

@@ -123,25 +123,6 @@ def decode_message(frame: bytes) -> Message:
     return Message(kind, payload)
 
 
-class TraceRecorder:
-    """Ordered log of endpoint traffic, for tests and trace assertions."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.events: list[tuple[str, bytes]] = []
-
-    def record(self, event: str, data: bytes) -> None:
-        with self._lock:
-            self.events.append((event, bytes(data)))
-
-    def frames(self, event: str) -> list[bytes]:
-        with self._lock:
-            return [d for e, d in self.events if e == event]
-
-    def message_kinds(self, event: str) -> list[MessageKind]:
-        return [decode_message(f).kind for f in self.frames(event)]
-
-
 # A stream carries (delivery deadline, bytes) frames in FIFO order.
 _Send = Callable[[float, bytes], None]
 _Receive = Callable[[Optional[float]], tuple[float, bytes]]
@@ -162,11 +143,9 @@ class Endpoint:
     """
 
     def __init__(self, label: str, config: LinkConfig, *, send: _Send,
-                 recv: _Receive, on_close: Callable[[], None],
-                 trace: TraceRecorder | None = None):
+                 recv: _Receive, on_close: Callable[[], None]):
         self.label = label
         self.config = config
-        self.trace = trace
         self._send = send
         self._recv = recv
         self._on_close = on_close
@@ -182,13 +161,11 @@ class Endpoint:
             raise PeerClosedError("endpoint closed")
         frame = encode_message(msg)
         with self._send_lock:
-            if self.trace is not None:
-                self.trace.record("send_msg", frame)
             self.bytes_sent += len(frame)
             self._send(time.monotonic() + self.config.latency, frame)
 
     def recv_message(self, timeout: float | None = None) -> Message:
-        return decode_message(self._arrive("recv_msg", timeout))
+        return decode_message(self._arrive(timeout))
 
     def send_blob(self, data) -> None:
         """Hand ``data`` to the stream; returns once the bytes are
@@ -200,8 +177,6 @@ class Endpoint:
         if self._closed:
             raise PeerClosedError("endpoint closed")
         with self._send_lock:
-            if self.trace is not None:
-                self.trace.record("send_blob", data)
             now = time.monotonic()
             start = now if now > self._blob_free_at else self._blob_free_at
             self._blob_free_at = start + link_time(len(data), self.config)
@@ -209,16 +184,14 @@ class Endpoint:
             self._send(self._blob_free_at, data)
 
     def recv_blob(self) -> bytes:
-        return self._arrive("recv_blob", None)
+        return self._arrive(None)
 
-    def _arrive(self, event: str, timeout: float | None) -> bytes:
+    def _arrive(self, timeout: float | None) -> bytes:
         deadline, data = self._recv(timeout)
         self.bytes_received += len(data)
         delay = deadline - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        if self.trace is not None:
-            self.trace.record(event, data)
         return data
 
     def close(self) -> None:
@@ -246,17 +219,14 @@ def _queue_receiver(q: queue.SimpleQueue) -> _Receive:
     return recv
 
 
-def create_endpoint_pair(config: LinkConfig,
-                         host_trace: TraceRecorder | None = None
-                         ) -> tuple[Endpoint, Endpoint]:
+def create_endpoint_pair(config: LinkConfig) -> tuple[Endpoint, Endpoint]:
     """In-process link: two live endpoints over one queue per direction.
     Frames are copied at the boundary so each side owns its bytes (the
     isolation a DMA copy gives)."""
     to_device, to_host = queue.SimpleQueue(), queue.SimpleQueue()
 
     def make_side(label: str, outbox: queue.SimpleQueue,
-                  inbox: queue.SimpleQueue,
-                  trace: TraceRecorder | None) -> Endpoint:
+                  inbox: queue.SimpleQueue) -> Endpoint:
         def on_close():
             outbox.put(_CLOSED)
             inbox.put(_CLOSED)
@@ -264,10 +234,10 @@ def create_endpoint_pair(config: LinkConfig,
         return Endpoint(
             label, config,
             send=lambda deadline, data: outbox.put((deadline, bytes(data))),
-            recv=_queue_receiver(inbox), on_close=on_close, trace=trace)
+            recv=_queue_receiver(inbox), on_close=on_close)
 
-    return (make_side("host", to_device, to_host, host_trace),
-            make_side("device", to_host, to_device, None))
+    return (make_side("host", to_device, to_host),
+            make_side("device", to_host, to_device))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +289,8 @@ def _socket_receiver(sock: socket.socket) -> _Receive:
     return recv
 
 
-def socket_endpoint(label: str, sock: socket.socket, config: LinkConfig,
-                    trace: TraceRecorder | None = None) -> Endpoint:
+def socket_endpoint(label: str, sock: socket.socket,
+                    config: LinkConfig) -> Endpoint:
     """Wrap a connected stream socket in the endpoint contract."""
 
     def on_close():
@@ -331,8 +301,7 @@ def socket_endpoint(label: str, sock: socket.socket, config: LinkConfig,
         sock.close()
 
     return Endpoint(label, config, send=_socket_sender(sock),
-                    recv=_socket_receiver(sock), on_close=on_close,
-                    trace=trace)
+                    recv=_socket_receiver(sock), on_close=on_close)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +348,6 @@ def device_hello(version: int) -> Message:
 
 
 def connect(config: LinkConfig, worker_count: int, *,
-            trace: TraceRecorder | None = None,
             worker_command: list[str] | None = None,
             handshake_timeout: float = 60.0,
             _device_version: int | None = None) -> DeviceHandle:
@@ -396,7 +364,7 @@ def connect(config: LinkConfig, worker_count: int, *,
     from . import device_worker  # deferred: device_worker imports transport
 
     if config.kind == "in-process":
-        host_ep, dev_ep = create_endpoint_pair(config, trace)
+        host_ep, dev_ep = create_endpoint_pair(config)
         master = threading.Thread(
             target=device_worker.serve,
             args=(dev_ep, worker_count, _device_version or PROTOCOL_VERSION),
@@ -428,7 +396,7 @@ def connect(config: LinkConfig, worker_count: int, *,
         # Only the child holds its end now, so its death reads as EOF here.
         child_end.close()
 
-    endpoint = socket_endpoint("host", host_end, config, trace)
+    endpoint = socket_endpoint("host", host_end, config)
     try:
         _host_handshake(endpoint, handshake_timeout)
     except BaseException as exc:

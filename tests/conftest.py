@@ -6,13 +6,16 @@ summation over every particle. They are the reference the indexed paths are
 checked against.
 """
 
+import contextlib
 import math
 import random
 import struct
+import threading
 
 import pytest
 
 from hybridsph.sph import Particle, kernel_dw, kernel_w
+from hybridsph.transport import Endpoint, decode_message, encode_message
 
 
 def particle_bits(p: Particle) -> bytes:
@@ -44,6 +47,75 @@ def random_particles(n: int, seed: int, span: float = 1.0,
             z=rng.uniform(-span, span),
             mass=1.0 / n if equal_mass else rng.uniform(0.5, 2.0) / n))
     return parts
+
+
+# ---------------------------------------------------------------------------
+# Link traces
+# ---------------------------------------------------------------------------
+
+class TraceRecorder:
+    """Ordered log of host endpoint traffic: ``(event, frame bytes)``."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.events: list[tuple[str, bytes]] = []
+
+    def record(self, event: str, data: bytes) -> None:
+        with self._lock:
+            self.events.append((event, bytes(data)))
+
+    def frames(self, event: str) -> list[bytes]:
+        with self._lock:
+            return [d for e, d in self.events if e == event]
+
+    def message_kinds(self, event: str) -> list:
+        return [decode_message(f).kind for f in self.frames(event)]
+
+
+@contextlib.contextmanager
+def link_trace():
+    """Record every endpoint labelled ``"host"`` while the block runs.
+
+    Wraps the four ``Endpoint`` frame methods at class level and restores
+    them on exit. Events are ``send_msg``/``send_blob`` (recorded once the
+    send returns) and ``recv_msg``/``recv_blob`` (the frame returned), each
+    with the frame's wire bytes. Open it around the connect as well, so the
+    device's HELLO is recorded.
+    """
+    trace = TraceRecorder()
+    originals = {name: getattr(Endpoint, name) for name in (
+        "send_message", "send_blob", "recv_message", "recv_blob")}
+
+    def sending(name, event, as_frame):
+        send = originals[name]
+
+        def wrapper(self, data):
+            send(self, data)
+            if self.label == "host":
+                trace.record(event, as_frame(data))
+        return wrapper
+
+    def receiving(name, event, as_frame):
+        recv = originals[name]
+
+        def wrapper(self, *args, **kwargs):
+            data = recv(self, *args, **kwargs)
+            if self.label == "host":
+                trace.record(event, as_frame(data))
+            return data
+        return wrapper
+
+    Endpoint.send_message = sending("send_message", "send_msg",
+                                    encode_message)
+    Endpoint.send_blob = sending("send_blob", "send_blob", bytes)
+    Endpoint.recv_message = receiving("recv_message", "recv_msg",
+                                      encode_message)
+    Endpoint.recv_blob = receiving("recv_blob", "recv_blob", bytes)
+    try:
+        yield trace
+    finally:
+        for name, method in originals.items():
+            setattr(Endpoint, name, method)
 
 
 # ---------------------------------------------------------------------------

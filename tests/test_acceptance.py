@@ -23,12 +23,12 @@ from hybridsph.sph import (Particle, SimParams, SimulationState, kernel_dw,
                            kernel_w, make_scene, field_property,
                            phase1_prepare, phase2_density_gravity,
                            phase3_pressure, simulation_step)
-from hybridsph.transport import LinkConfig, TraceRecorder
+from hybridsph.transport import LinkConfig
 from hybridsph.wire import ByteReader
 
 from conftest import (as_particles, brute_density, brute_field,
-                      brute_neighbors, brute_pressure_accel, particle_bits,
-                      rel_err)
+                      brute_neighbors, brute_pressure_accel, link_trace,
+                      particle_bits, rel_err)
 from test_queue import (_stress_trial, check_exactly_once,
                         check_priority_discipline)
 from test_runtime import max_unresulted_blocks
@@ -239,11 +239,10 @@ def test_criterion_05_queue_scheduler_properties():
         check_priority_discipline(trace)
 
     # double-buffering bound on a recorded run
-    trace = TraceRecorder()
-    dev = connect_device(DeviceSpec(worker_count=4, link=LinkConfig()), 0,
-                         trace=trace)
     items = list(range(2000))
-    hybrid_for_each(items, SleepAction(0.0002), [dev], host_workers=2)
+    with link_trace() as trace:
+        dev = connect_device(DeviceSpec(worker_count=4, link=LinkConfig()), 0)
+        hybrid_for_each(items, SleepAction(0.0002), [dev], host_workers=2)
     assert items == [v + 1 for v in range(2000)]
     peak = max_unresulted_blocks(trace)
     assert 1 <= peak <= 2, f"double-buffering bound violated: {peak}"

@@ -44,14 +44,14 @@ class TestCellOf:
 
 
 def cell_members(index, c):
-    return index.order[index.start[c]:index.start[c + 1]]
+    return index.order[index.start[c]:index.start[c + 1]].tolist()
 
 
 class TestBuildIndex:
     def test_empty_scene_all_heads_end(self):
         index = build_index(particle_array(), GRID)
-        assert index.order == []
-        assert index.start == [0] * (GRID.cell_count + 1)
+        assert index.order.tolist() == []
+        assert index.start.tolist() == [0] * (GRID.cell_count + 1)
 
     def test_prepend_order_in_one_cell(self):
         parts = [make_particle(i, 0.1, 0.1, 0.1) for i in range(3)]
@@ -74,7 +74,7 @@ class TestBuildIndex:
                 assert cell_of((parts[j].x, parts[j].y, parts[j].z), GRID) == c
             assert members == sorted(members, reverse=True)
             seen += members
-        assert seen == index.order
+        assert seen == index.order.tolist()
         assert sorted(seen) == list(range(len(parts)))
 
     def test_rebuild_replaces_stale_chains(self):
@@ -91,8 +91,8 @@ class TestBuildIndex:
         parts = particle_array(random_particles(300, seed=9))
         a = build_index(parts, GRID)
         b = build_index(parts, GridSpec(GRID.origin, GRID.cell_size, GRID.dims))
-        assert a.order == b.order
-        assert a.start == b.start
+        assert a.order.tolist() == b.order.tolist()
+        assert a.start.tolist() == b.start.tolist()
 
 
 class TestArrayClamp:

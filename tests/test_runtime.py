@@ -19,12 +19,11 @@ from hybridsph.sph import (BLOCK_ROWS, DensityGravityAction,
                            PressureForceAction)
 from hybridsph.transport import (DeviceHandle, LinkConfig, Message,
                                  MessageKind, PeerClosedError, SpawnError,
-                                 TraceRecorder, create_endpoint_pair,
-                                 decode_message)
+                                 create_endpoint_pair, decode_message)
 from hybridsph.wire import (I32_CODEC, I64_CODEC, RecordCodec,
                             TruncatedInputError, register_functor)
 
-from conftest import as_particles, particle_bits
+from conftest import TraceRecorder, as_particles, link_trace, particle_bits
 
 
 @dataclass
@@ -49,6 +48,30 @@ class UnregisteredAction(AffineAction):
     """An action whose wire name has no codec: it cannot be encoded."""
 
     wire_name = "test-unregistered"
+
+
+@dataclass
+class ApplylessAction:
+    """Registered and encodable, but with neither ``apply`` nor
+    ``apply_block``: no worker can apply it."""
+
+    scale: int
+
+    wire_name = "test-applyless-i32"
+    item_codec = I32_CODEC
+
+
+register_functor(ApplylessAction.wire_name,
+                 RecordCodec("<i", ApplylessAction))
+
+
+class BlockOnlyAction:
+    """Doubles each item, with an ``apply_block`` and no ``apply``."""
+
+    item_codec = I64_CODEC
+
+    def apply_block(self, items: list) -> list:
+        return [2 * x for x in items]
 
 
 def max_unresulted_blocks(trace: TraceRecorder) -> int:
@@ -125,10 +148,11 @@ class TestHybridForEach:
         assert stats.total_items == 3
 
     def test_empty_sequence_with_device_is_handshake_only(self):
-        trace = TraceRecorder()
-        dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0,
-                             trace=trace)
-        stats = hybrid_for_each([], AffineAction(2), [dev], host_workers=1)
+        with link_trace() as trace:
+            dev = connect_device(DeviceSpec(worker_count=2,
+                                            link=LinkConfig()), 0)
+            stats = hybrid_for_each([], AffineAction(2), [dev],
+                                    host_workers=1)
         assert stats.total_items == 0
         kinds = set(trace.message_kinds("send_msg"))
         assert kinds <= {MessageKind.HELLO, MessageKind.FUNCTOR_STATE,
@@ -157,11 +181,11 @@ class TestHybridForEach:
         assert sum(stats.items_by_unit.values()) == 300
 
     def test_double_buffering_bound_on_trace(self):
-        trace = TraceRecorder()
-        dev = connect_device(DeviceSpec(worker_count=4, link=LinkConfig()), 0,
-                             trace=trace)
         items = list(range(400))
-        hybrid_for_each(items, SleepAction(0.0003), [dev], host_workers=1)
+        with link_trace() as trace:
+            dev = connect_device(DeviceSpec(worker_count=4,
+                                            link=LinkConfig()), 0)
+            hybrid_for_each(items, SleepAction(0.0003), [dev], host_workers=1)
         assert 1 <= max_unresulted_blocks(trace) <= 2
 
     def test_device_workers_send_each_block_once(self):
@@ -230,6 +254,13 @@ class TestHybridForEach:
         assert not stats.devices_lost, stats.device_errors
         assert stats.device_items > 0
 
+    def test_block_only_functor_runs_on_host_workers(self):
+        items = list(range(100))
+        stats = hybrid_for_each(items, BlockOnlyAction(), host_workers=3,
+                                chunk=7)
+        assert items == [2 * v for v in range(100)]
+        assert sum(stats.items_by_unit.values()) == 100
+
     def test_no_workers_no_devices_drains_on_caller(self):
         items = [5, 6]
         stats = hybrid_for_each(items, AffineAction(1), host_workers=0)
@@ -237,11 +268,11 @@ class TestHybridForEach:
         assert stats.items_by_unit == {"host/drain": 2}
 
     def test_one_blocks_worth_is_one_round_trip(self):
-        trace = TraceRecorder()
-        dev = connect_device(DeviceSpec(worker_count=4, link=LinkConfig()), 0,
-                             trace=trace)
         items = list(range(4))  # exactly one block at batch = worker_count
-        hybrid_for_each(items, SleepAction(0.001), [dev], host_workers=0)
+        with link_trace() as trace:
+            dev = connect_device(DeviceSpec(worker_count=4,
+                                            link=LinkConfig()), 0)
+            hybrid_for_each(items, SleepAction(0.001), [dev], host_workers=0)
         assert items == [v + 1 for v in range(4)]
         sent = trace.message_kinds("send_msg")
         received = trace.message_kinds("recv_msg")
@@ -249,11 +280,11 @@ class TestHybridForEach:
         assert received.count(MessageKind.RESULT_BLOCK) == 1
 
     def test_functor_state_ships_before_blocks(self):
-        trace = TraceRecorder()
-        dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0,
-                             trace=trace)
-        hybrid_for_each(list(range(20)), SleepAction(0.0002), [dev],
-                        host_workers=0)
+        with link_trace() as trace:
+            dev = connect_device(DeviceSpec(worker_count=2,
+                                            link=LinkConfig()), 0)
+            hybrid_for_each(list(range(20)), SleepAction(0.0002), [dev],
+                            host_workers=0)
         kinds = trace.message_kinds("send_msg")
         first_work = kinds.index(MessageKind.WORK_BLOCK)
         assert MessageKind.FUNCTOR_STATE in kinds[:first_work]
@@ -485,6 +516,29 @@ class TestDeviceLoss:
         with pytest.raises(RuntimeError, match="poisoned"):
             hybrid_for_each(list(range(50)), PoisonAction(33), [dev],
                             host_workers=1)
+
+    def test_functor_no_worker_can_apply_fails_the_call_promptly(self):
+        # The device reports that it cannot apply the functor instead of
+        # losing its workers and leaving the call waiting for results; the
+        # host drain then raises the same error to the caller.
+        before = threading.active_count()
+        done = {}
+
+        def call():
+            dev = connect_device(DeviceSpec(worker_count=2,
+                                            link=LinkConfig()), 0)
+            try:
+                hybrid_for_each(list(range(8)), ApplylessAction(3), [dev],
+                                host_workers=0)
+            except AttributeError as exc:
+                done["error"] = exc
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=10.0)
+        assert not caller.is_alive(), "hybrid_for_each hung"
+        assert "apply" in str(done.get("error"))
+        assert threading.active_count() == before
 
     def test_malformed_block_triggers_error_shutdown(self):
         host, dev_ep = create_endpoint_pair(LinkConfig())

@@ -15,12 +15,14 @@ from hybridsph.runtime import (DeviceSpec, connect_device, hybrid_for_each,
 from hybridsph.sph import (BLOCK_ROWS, DensityGravityAction,
                            PressureForceAction, make_scene, phase1_prepare,
                            phase2_density_gravity)
-from hybridsph.transport import (PROTOCOL_VERSION, HandshakeTimeoutError,
-                                 LinkConfig, Message, MessageKind,
-                                 PeerClosedError, SpawnError, TraceRecorder,
+from hybridsph.transport import (PROTOCOL_VERSION, Endpoint,
+                                 HandshakeTimeoutError, LinkConfig, Message,
+                                 MessageKind, PeerClosedError, SpawnError,
                                  TransportError, VersionMismatchError, connect,
                                  create_endpoint_pair, decode_message,
                                  encode_message, link_time, socket_endpoint)
+
+from conftest import link_trace
 
 
 class TestLinkTime:
@@ -205,9 +207,8 @@ class TestConnect:
     def test_hello_carries_version_only(self, kind, workers):
         # The device is spawned with its worker count and link, so the
         # handshake is its 4-byte HELLO and the host sends nothing back.
-        trace = TraceRecorder()
-        handle = connect(LinkConfig(kind=kind), worker_count=workers,
-                         trace=trace)
+        with link_trace() as trace:
+            handle = connect(LinkConfig(kind=kind), worker_count=workers)
         assert handle.worker_count == workers
         assert trace.frames("recv_msg") == [encode_message(Message(
             MessageKind.HELLO, struct.pack("<I", PROTOCOL_VERSION)))]
@@ -304,15 +305,50 @@ class TestConnect:
             connect(LinkConfig(), worker_count=0)
 
 
+class TestLinkTrace:
+    NAMES = ("send_message", "send_blob", "recv_message", "recv_blob")
+
+    def test_restores_the_endpoint_methods(self):
+        before = [vars(Endpoint)[name] for name in self.NAMES]
+        with link_trace():
+            assert all(vars(Endpoint)[name] is not method
+                       for name, method in zip(self.NAMES, before))
+        assert [vars(Endpoint)[name] for name in self.NAMES] == before
+        with pytest.raises(RuntimeError, match="inside"):
+            with link_trace():
+                raise RuntimeError("inside the block")
+        assert [vars(Endpoint)[name] for name in self.NAMES] == before
+
+    def test_records_the_host_side_only(self):
+        host, dev = create_endpoint_pair(LinkConfig(latency=0.0))
+        to_dev = Message(MessageKind.WORK_BLOCK, b"\x01")
+        to_host = Message(MessageKind.RESULT_BLOCK, b"\x02")
+        with link_trace() as trace:
+            host.send_message(to_dev)
+            host.send_blob(b"work")
+            assert dev.recv_message() == to_dev
+            assert dev.recv_blob() == b"work"
+            dev.send_message(to_host)
+            dev.send_blob(b"result")
+            assert host.recv_message() == to_host
+            assert host.recv_blob() == b"result"
+        host.close()
+        dev.close()
+        assert trace.events == [("send_msg", encode_message(to_dev)),
+                                ("send_blob", b"work"),
+                                ("recv_msg", encode_message(to_host)),
+                                ("recv_blob", b"result")]
+
+
 def _golden_trace(kind: str):
     """Drive the same deterministic schedule through one transport."""
-    trace = TraceRecorder()
     spec = DeviceSpec(worker_count=1, link=LinkConfig(kind=kind))
-    dev = connect_device(spec, 0, trace=trace)
     items = list(range(6))
-    # No host workers and one device worker: every item travels in its own
-    # block, and results come back in the order the blocks were sent.
-    hybrid_for_each(items, AffineAction(5), [dev], host_workers=0)
+    with link_trace() as trace:
+        dev = connect_device(spec, 0)
+        # No host workers and one device worker: every item travels in its
+        # own block, and results come back in the order the blocks were sent.
+        hybrid_for_each(items, AffineAction(5), [dev], host_workers=0)
     assert items == [v * 5 + 2 for v in range(6)]
     return trace
 
@@ -346,11 +382,11 @@ def test_golden_wire_digest():
     traces = [_golden_trace("in-process"), _golden_trace("subprocess")]
     state = make_scene(300, seed=3)
     phase1_prepare(state)
-    traces.append(TraceRecorder())
-    dev = connect_device(DeviceSpec(worker_count=1, link=LinkConfig()), 0,
-                         trace=traces[-1])
-    stats = hybrid_for_each(list(range(300)), DensityGravityAction(state),
-                            [dev], host_workers=0, chunk=BLOCK_ROWS)
+    with link_trace() as trace:
+        dev = connect_device(DeviceSpec(worker_count=1, link=LinkConfig()), 0)
+        stats = hybrid_for_each(list(range(300)), DensityGravityAction(state),
+                                [dev], host_workers=0, chunk=BLOCK_ROWS)
+    traces.append(trace)
     assert stats.device_items == 300
     digest = hashlib.sha256()
     for trace in traces:
@@ -371,11 +407,10 @@ def test_offloaded_row_sends_its_id_and_gets_its_fields(action, result_size):
     phase1_prepare(state)
     for p in state.particles:
         phase2_density_gravity(state, p)
-    trace = TraceRecorder()
-    dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0,
-                         trace=trace)
-    stats = hybrid_for_each(list(range(700)), action(state), [dev],
-                            host_workers=0, chunk=BLOCK_ROWS)
+    with link_trace() as trace:
+        dev = connect_device(DeviceSpec(worker_count=2, link=LinkConfig()), 0)
+        stats = hybrid_for_each(list(range(700)), action(state), [dev],
+                                host_workers=0, chunk=BLOCK_ROWS)
     assert stats.device_items == 700
     work = trace.frames("send_blob")[1:]  # after the functor state
     for blobs, row_size in ((work, 4), (trace.frames("recv_blob"),

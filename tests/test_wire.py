@@ -227,8 +227,8 @@ def test_state_codec_size_matches_emitted_bytes():
     assert particle_bits(back.particles[5]) == particle_bits(state.particles[5])
     assert back.gravity.cells.tobytes() == state.gravity.cells.tobytes()
     # the receiving side rebuilds an identical index
-    assert back.index.order == state.index.order
-    assert back.index.start == state.index.start
+    assert back.index.order.tolist() == state.index.order.tolist()
+    assert back.index.start.tolist() == state.index.start.tolist()
     # The decoded arrays are writable and share no memory with the bytes
     # they came from: changing either leaves the other as it was.
     blob = bytes(out)
