@@ -15,7 +15,11 @@ complete for an unbounded scene. One query, ``SpatialIndex.within``, serves
 every scalar neighbour sum: the SPH reference phases, field evaluation and
 the renderer's reference sampler. ``SpatialIndex.table`` answers many
 queries at once as padded arrays in the same order, for the array forms of
-the SPH phases and of the renderer, which the program runs;
+the SPH phases and of the renderer, which the program runs.
+``gather(search(...))`` gives the same arrays in two steps: the search
+finds which entries each query keeps, and the gather forms the arrays
+from them, so a caller can keep a search and gather it again without
+searching. All three form the offsets with one expression, ``_offsets``.
 ``neighbor_candidates`` is the unfiltered reference enumerator over the
 same cells in the same order.
 
@@ -181,8 +185,43 @@ class SpatialIndex:
         with ``m`` query points and ``K`` the largest neighbour count. Row
         ``i`` holds the entries ``within`` gives for point ``i``, in the
         same order and with the same bits (``index`` names the particle);
-        ``valid`` is False on the padding after them. Neighbour positions
-        are the ones the index was built from.
+        ``valid`` is False on the padding after them, and every other
+        array holds zeros there. Neighbour positions are the ones the index
+        was built from. ``gather(search(...))`` returns the same arrays.
+        """
+        import numpy as np
+
+        row, pos, offsets, keep = self._candidates(xs, ys, zs, radius)
+        counts = np.bincount(row[keep], minlength=len(xs))
+        return _padded(counts, (self.order[pos[keep]],
+                                *(a[keep] for a in offsets)))
+
+    def search(self, xs, ys, zs, radius: float):
+        """The costly part of ``table``: ``(pos, counts)``, where row ``i``
+        of the ``(m, K)`` int32 ``pos`` starts with the sorted positions of
+        the ``counts[i]`` neighbours of point ``i`` in table order, then
+        zeros. :meth:`gather` turns it into the table."""
+        import numpy as np
+
+        row, pos, _, keep = self._candidates(xs, ys, zs, radius)
+        counts = np.bincount(row[keep], minlength=len(xs))
+        found, _ = _padded(counts, (pos[keep].astype(np.int32),))
+        return found, counts
+
+    def gather(self, xs, ys, zs, found):
+        """The ``table`` of the points whose entries ``search`` found."""
+        import numpy as np
+
+        pos, counts = found
+        pos = pos[np.arange(pos.shape[1]) < counts[:, None]]
+        row = np.repeat(np.arange(len(counts)), counts)
+        return _padded(counts, (self.order[pos],
+                                *self._offsets(xs, ys, zs, row, pos)))
+
+    def _candidates(self, xs, ys, zs, radius: float):
+        """Every candidate of every point, flat and in table order: the
+        point's ``row``, the sorted position ``pos``, the ``_offsets`` and
+        the indices where ``r2 < radius**2`` (the entries ``table`` keeps).
         """
         import numpy as np
 
@@ -215,26 +254,32 @@ class SpatialIndex:
         # position begins[p] + (t - first[p]).
         first = np.cumsum(lengths) - lengths
         pos = np.repeat(begins - first, lengths) + np.arange(len(row))
+        offsets = self._offsets(xs, ys, zs, row, pos)
+        return row, pos, offsets, np.flatnonzero(offsets[3] < radius * radius)
+
+    def _offsets(self, xs, ys, zs, row, pos):
+        """``(dx, dy, dz, r2)`` from point ``row`` to the particle at
+        sorted position ``pos``, for each pair of the two arrays."""
         sx, sy, sz = self._sorted
         dx = xs[row] - sx[pos]
         dy = ys[row] - sy[pos]
         dz = zs[row] - sz[pos]
-        r2 = dx * dx + dy * dy + dz * dz
-        keep = np.flatnonzero(r2 < radius * radius)
-        row = row[keep]
-        counts = np.bincount(row, minlength=m)
-        k = int(counts.max(initial=0))
-        col = np.arange(len(keep)) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-        out = []
-        for values in (self.order[pos[keep]], dx[keep], dy[keep], dz[keep],
-                       r2[keep]):
-            padded = np.zeros((m, k), dtype=values.dtype)
-            padded[row, col] = values
-            out.append(padded)
-        valid = np.zeros((m, k), dtype=bool)
-        valid[row, col] = True
-        return (*out, valid)
+        return dx, dy, dz, dx * dx + dy * dy + dz * dz
+
+
+def _padded(counts, arrays) -> tuple:
+    """Each flat array of entries, ``counts[i]`` of them for row ``i`` in
+    row order, as ``(rows, K)`` rows with zeros after each row's entries,
+    ``K`` the largest count; then the ``valid`` mask of the filled slots."""
+    import numpy as np
+
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    out = []
+    for values in arrays:
+        padded = np.zeros(valid.shape, dtype=values.dtype)
+        padded[valid] = values
+        out.append(padded)
+    return (*out, valid)
 
 
 def build_index(particles, grid: GridSpec,

@@ -15,13 +15,16 @@ evaluate identical floating-point sequences. The scalar phase functions
 and stay the reference. The step runs their array twins, the phase actions
 ``DensityGravityAction`` and ``PressureForceAction``: each states once the
 columns it reads, the fields it writes and its kernel, takes a column
-snapshot of the state when it is built, and sums over one
-``SpatialIndex.table`` per block of rows with :func:`column_sums`, which
-adds the same terms in the same order and gives the same bits. They are
-also the functors that ship to devices, registered here under their wire
-names. The particles are one record array in the wire layout of
-``Particle`` (``particle_dtype``). numpy is imported inside the functions
-that use it.
+snapshot of the state when it is built, and sums over a block's
+``SpatialIndex.table`` with :func:`column_sums`, which adds the same terms
+in the same order and gives the same bits. The actions are also the
+functors that ship to devices, registered here under their wire names.
+Each block of rows gathers its table from one ``SpatialIndex.search``; in
+a step, phase 3 reuses the searches phase 2 made on the host for the same
+rows, as no particle moves between the two phases. The gravity field is
+summed in cache-sized tiles of particles by cells. The particles are one
+record array in the wire layout of ``Particle`` (``particle_dtype``).
+numpy is imported inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .wire import (ByteReader, RecordCodec, StructCodec, TupleCodec,
                    register_functor)
 
 _PI = math.pi
-_GRAVITY_CHUNK = 32  # cells per block of the gravity sum
+_GRAVITY_CHUNK = 256  # cells per block of the gravity sum
+_GRAVITY_TILE = 256  # particles per tile of a block
 
 
 # ---------------------------------------------------------------------------
@@ -278,52 +282,55 @@ def build_gravity_field(particles, grid: GridSpec,
     g(c) = sum_j G m_j (pos_j - c) / (|pos_j - c|^2 + eps^2)^(3/2).
 
     O(cells * particles); runs once per step on the host and ships to
-    devices. The sum is an array program over per-axis ``(particles,
-    cells)`` blocks of ``_GRAVITY_CHUNK`` cells. Summing such a block down
-    its rows adds the particles one at a time in index order, which fixes
-    the bits. A block one column wide is contiguous, and numpy sums it
-    pairwise instead, so no block may be one column wide: a one-column
-    remainder joins the block before it, and a one-cell grid evaluates its
-    centre twice and keeps one. ``r2`` is formed as ``dx*dx + dy*dy +
-    dz*dz`` and only then softened, in that order.
+    devices. The sum is an array program over tiles of ``_GRAVITY_TILE``
+    particles by ``_GRAVITY_CHUNK`` cells, small enough to stay in cache.
+    Each tile holds the per-axis terms ``(particles, cells)`` under one row
+    that carries the cell block's running sums from the tile before, and
+    the first tile starts from its own first particle instead. Summing a
+    tile down its rows therefore adds the particles one at a time in index
+    order, which fixes the bits. A block one column wide is contiguous,
+    and numpy sums it pairwise instead, so no block may be one column
+    wide: a one-column remainder joins the block before it, and a one-cell
+    grid evaluates its centre twice and keeps one. ``r2`` is formed as
+    ``dx*dx + dy*dy + dz*dz`` and only then softened, in that order.
     """
     import numpy as np  # deferred: keeps device-worker startup lean
 
     ncells = grid.cell_count
-    if len(particles) == 0:
+    n = len(particles)
+    if n == 0:
         return GravityField(grid, np.zeros((ncells, 3)))
 
-    px, py, pz, mass = particles.x, particles.y, particles.z, particles.mass
+    pos = np.stack((particles.x, particles.y, particles.z))
+    gm = G * particles.mass
     nx, ny, nz = grid.dims
-    ox, oy, oz = grid.origin
-    cs = grid.cell_size
     iz, iy, ix = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
                              indexing="ij")
-    cx = ox + (ix.ravel() + 0.5) * cs
-    cy = oy + (iy.ravel() + 0.5) * cs
-    cz = oz + (iz.ravel() + 0.5) * cs
+    centres = np.stack([o + (i.ravel() + 0.5) * grid.cell_size
+                        for o, i in zip(grid.origin, (ix, iy, iz))])
     if ncells == 1:
-        cx, cy, cz = (np.repeat(c, 2) for c in (cx, cy, cz))
-    m = len(cx)
+        centres = np.repeat(centres, 2, axis=1)
+    m = centres.shape[1]
     edges = list(range(0, m, _GRAVITY_CHUNK))
     if m - edges[-1] == 1 and len(edges) > 1:
         edges.pop()
     edges.append(m)
 
     eps2 = epsilon * epsilon
-    gm = (G * mass)[:, None]
-    out = np.empty((m, 3), dtype=np.float64)
+    out = np.empty((3, m))
     for s, e in zip(edges, edges[1:]):
-        dx = px[:, None] - cx[None, s:e]
-        dy = py[:, None] - cy[None, s:e]
-        dz = pz[:, None] - cz[None, s:e]
-        r2 = dx * dx + dy * dy + dz * dz
-        r2 += eps2
-        w = gm / (r2 * np.sqrt(r2))
-        out[s:e, 0] = (w * dx).sum(axis=0)
-        out[s:e, 1] = (w * dy).sum(axis=0)
-        out[s:e, 2] = (w * dz).sum(axis=0)
-    return GravityField(grid, out[:ncells])
+        for a in range(0, n, _GRAVITY_TILE):
+            b = min(a + _GRAVITY_TILE, n)
+            terms = np.empty((3, b - a + 1, e - s))
+            d = terms[:, 1:]
+            np.subtract(pos[:, a:b, None], centres[:, None, s:e], out=d)
+            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+            r2 += eps2
+            d *= gm[a:b, None] / (r2 * np.sqrt(r2))
+            if a:
+                terms[:, 0] = out[:, s:e]
+            out[:, s:e] = terms[:, 0 if a else 1:].sum(axis=1)
+    return GravityField(grid, np.ascontiguousarray(out.T[:ncells]))
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +510,20 @@ class _SnapshotAction:
     row ids (unsigned on the wire; a row past the end raises
     ``IndexError``); a result is the tuple of the written fields.
 
+    A block's table is ``SpatialIndex.gather`` of what :meth:`search`
+    finds. ``tables``, when given, is a dict shared by the step's phase
+    actions, keyed by the exact row ids of a block (``rows.tobytes()``):
+    phase 2 keeps each block's ``SpatialIndex.search`` result there, and
+    phase 3 takes it back for a block of the same rows instead of searching
+    again, since no particle moves between the two. Host workers take
+    disjoint rows, so one dict operation per block needs no lock.
+
     The class is its own functor codec: the wire bytes are the whole
     simulation state, and the receiving side rebuilds the spatial index.
+    ``tables`` never crosses the wire, so a decoded copy keeps nothing.
     """
 
-    __slots__ = ("state", "cols")
+    __slots__ = ("state", "cols", "tables")
 
     item_codec = StructCodec("<I")
 
@@ -515,12 +531,13 @@ class _SnapshotAction:
         super().__init_subclass__(**kwargs)
         cls.result_codec = TupleCodec(f"<{len(cls.writes)}d")
 
-    def __init__(self, state: SimulationState):
+    def __init__(self, state: SimulationState, tables: dict | None = None):
         import numpy as np
 
         self.state = state
         self.cols = {name: np.array(state.particles[name])
                      for name in ("x", "y", "z", *self.reads)}
+        self.tables = tables
 
     @staticmethod
     def serialize(f, out: bytearray) -> None:
@@ -535,9 +552,13 @@ class _SnapshotAction:
 
         rows = np.asarray(rows, dtype=np.intp)
         xyz = tuple(self.cols[c][rows] for c in "xyz")
-        table = self.state.index.table(*xyz, self.state.params.h)
+        table = self.state.index.gather(*xyz, self.search(rows, xyz))
         arrays = self.kernel(rows, xyz, table)
         return list(zip(*(a.tolist() for a in arrays)))
+
+    def search(self, rows, xyz):
+        """The ``SpatialIndex.search`` of a block of rows."""
+        return self.state.index.search(*xyz, self.state.params.h)
 
 
 class DensityGravityAction(_SnapshotAction):
@@ -553,6 +574,12 @@ class DensityGravityAction(_SnapshotAction):
     wire_name = "sph-density-gravity"
     reads = ("mass",)
     writes = ("density", "pressure", "ax", "ay", "az")
+
+    def search(self, rows, xyz):
+        found = super().search(rows, xyz)
+        if self.tables is not None:
+            self.tables[rows.tobytes()] = found
+        return found
 
     def kernel(self, rows, xyz, table) -> tuple:
         import numpy as np
@@ -578,6 +605,13 @@ class PressureForceAction(_SnapshotAction):
     wire_name = "sph-pressure"
     reads = ("mass", "density", "pressure", "ax", "ay", "az")
     writes = ("ax", "ay", "az")
+
+    def search(self, rows, xyz):
+        if self.tables is not None:
+            found = self.tables.pop(rows.tobytes(), None)
+            if found is not None:
+                return found
+        return super().search(rows, xyz)
 
     def kernel(self, rows, xyz, table) -> tuple:
         import numpy as np
@@ -683,9 +717,11 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     state copies afterwards), and write their results into the columns the
     action names. Each phase's functor is built just before its call,
     because it snapshots the state then: phase 3 reads the densities phase
-    2 wrote. The snapshot and the writes count in the phase's time. Phase 4
-    updates its rows in place, with local parallelism only; shipping it
-    costs more than it saves.
+    2 wrote. The snapshot and the writes count in the phase's time. Both
+    actions share one dict, through which a phase-3 block on the host
+    reuses the neighbour search phase 2 made for the same rows; what is
+    left is dropped when phase 3 ends. Phase 4 updates its rows in place,
+    with local parallelism only; shipping it costs more than it saves.
     """
     # Looked up per call, so that wrapping runtime.hybrid_for_each (as
     # bench/hooks.py does) sees every phase.
@@ -700,11 +736,12 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
     n = len(state.particles)
     timing.items_total = 2 * n
 
+    tables = {}
     for phase_name, action in (
             ("phase2_s", DensityGravityAction),
             ("phase3_s", PressureForceAction)):
         t0 = time.perf_counter()
-        functor = action(state)
+        functor = action(state, tables)
         snapshot_s = time.perf_counter() - t0
         devices = connect_devices(device_specs)
         t0 = time.perf_counter()
@@ -717,6 +754,7 @@ def simulation_step(state: SimulationState, device_specs: Sequence = (),
         setattr(timing, phase_name, snapshot_s + time.perf_counter() - t0)
         timing.stats.append(stats)
         timing.items_on_devices += stats.device_items
+    tables.clear()
 
     t0 = time.perf_counter()
     integrate = IntegrateAction(state.particles, state.params.dt)

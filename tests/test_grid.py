@@ -158,6 +158,27 @@ class TestTable:
         assert [a.shape for a in out] == [(0, 0)] * 6
 
 
+class TestSearchAndGather:
+    def test_gather_of_search_is_table_padding_included(self):
+        parts = random_particles(500, seed=34, span=1.4)
+        index = build_index(particle_array(parts), GRID)
+        rng = random.Random(80)
+        xs, ys, zs = (np.array([rng.uniform(-1.6, 1.6) for _ in range(300)])
+                      for _ in range(3))
+        for radius in (0.2, 0.6):
+            pos, counts = found = index.search(xs, ys, zs, radius)
+            table = index.table(xs, ys, zs, radius)
+            # Fresh copies of the points, as a later phase's snapshot has.
+            again = index.gather(xs.copy(), ys.copy(), zs.copy(), found)
+            assert [a.tobytes() for a in again] == [a.tobytes() for a in table]
+            idx, *_, valid = table
+            assert pos.dtype == np.int32 and pos.shape == valid.shape
+            assert counts.tolist() == valid.sum(axis=1).tolist()
+            assert not pos[~valid].any()
+            assert not any(a[~valid].any() for a in table[:-1])
+            assert (index.order[pos[valid]] == idx[valid]).all()
+
+
 class TestNeighborCandidates:
     def test_contained_query_yields_cell_members(self):
         # neighbors confined to one cell, radius below cell size

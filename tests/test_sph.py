@@ -8,12 +8,15 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from hybridsph.grid import GridSpec
-from hybridsph.runtime import hybrid_for_each
+from hybridsph import runtime, sph
+from hybridsph.grid import GridSpec, SpatialIndex
+from hybridsph.runtime import DeviceSpec, hybrid_for_each
 from hybridsph.sph import (BLOCK_ROWS, DensityGravityAction, IntegrateAction,
                            Particle, PressureForceAction, SimParams,
                            SimulationState, build_gravity_field,
@@ -22,6 +25,8 @@ from hybridsph.sph import (BLOCK_ROWS, DensityGravityAction, IntegrateAction,
                            particle_array, phase1_prepare,
                            phase2_density_gravity, phase3_pressure,
                            phase4_integrate, simulation_step)
+from hybridsph.transport import LinkConfig
+from hybridsph.wire import decode_functor, encode_functor
 
 from conftest import (brute_density, brute_field, brute_gravity_at,
                       brute_pressure_accel, lone_particle_positions,
@@ -160,6 +165,44 @@ class TestFieldProperty:
 # Gravity field
 # ---------------------------------------------------------------------------
 
+def whole_column_gravity_field(particles, grid, G, epsilon):
+    """The field as one ``(particles, cells)`` array program per block of
+    32 cells, summed down whole columns: the reference for the tiles."""
+    ncells = grid.cell_count
+    if len(particles) == 0:
+        return np.zeros((ncells, 3))
+    px, py, pz, mass = particles.x, particles.y, particles.z, particles.mass
+    nx, ny, nz = grid.dims
+    ox, oy, oz = grid.origin
+    cs = grid.cell_size
+    iz, iy, ix = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
+                             indexing="ij")
+    cx = ox + (ix.ravel() + 0.5) * cs
+    cy = oy + (iy.ravel() + 0.5) * cs
+    cz = oz + (iz.ravel() + 0.5) * cs
+    if ncells == 1:
+        cx, cy, cz = (np.repeat(c, 2) for c in (cx, cy, cz))
+    m = len(cx)
+    edges = list(range(0, m, 32))
+    if m - edges[-1] == 1 and len(edges) > 1:
+        edges.pop()
+    edges.append(m)
+    eps2 = epsilon * epsilon
+    gm = (G * mass)[:, None]
+    out = np.empty((m, 3))
+    for s, e in zip(edges, edges[1:]):
+        dx = px[:, None] - cx[None, s:e]
+        dy = py[:, None] - cy[None, s:e]
+        dz = pz[:, None] - cz[None, s:e]
+        r2 = dx * dx + dy * dy + dz * dz
+        r2 += eps2
+        w = gm / (r2 * np.sqrt(r2))
+        out[s:e, 0] = (w * dx).sum(axis=0)
+        out[s:e, 1] = (w * dy).sum(axis=0)
+        out[s:e, 2] = (w * dz).sum(axis=0)
+    return out[:ncells]
+
+
 class TestGravityField:
     GRID = GridSpec(origin=(-1.0, -1.0, -1.0), cell_size=0.5, dims=(4, 4, 4))
 
@@ -247,6 +290,35 @@ class TestGravityField:
         raw = struct.pack(f"<{field.cells.size}d", *field.cells.ravel())
         assert raw == field.cells.tobytes()
         assert hashlib.sha256(raw).hexdigest() == digest
+
+    @pytest.mark.parametrize("G", [1.0, 0.0])
+    @pytest.mark.parametrize("dims", [(5, 13, 1), (1, 1, 1), (257, 1, 1)])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, sph._GRAVITY_TILE + 1])
+    def test_tiles_equal_whole_columns(self, extra, dims, G):
+        # Around one and two tiles of particles. With G = 0 every term is
+        # +-0.0, and the sign of a zero sum shows where the sum started.
+        # (257, 1, 1) leaves a one-column remainder of one cell block.
+        n = sph._GRAVITY_TILE + extra
+        params = SimParams(G=G, gravity_dims=dims)
+        particles = make_scene(n, params, seed=7).particles
+        grid = params.gravity_grid()
+        field = build_gravity_field(particles, grid, G, params.epsilon)
+        want = whole_column_gravity_field(particles, grid, G, params.epsilon)
+        assert field.cells.tobytes() == want.tobytes()
+
+    def test_working_set_is_a_few_tiles(self):
+        # At 3000 particles a whole column of 256 cells is 6 MB a term.
+        params = SimParams()
+        particles = make_scene(3000, params, seed=7).particles
+        tile_bytes = 8 * sph._GRAVITY_CHUNK * sph._GRAVITY_TILE
+        tracemalloc.start()
+        try:
+            build_gravity_field(particles, params.gravity_grid(), params.G,
+                                params.epsilon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * tile_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +562,115 @@ class TestArrayPhases:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+
+@pytest.fixture
+def index_calls(monkeypatch):
+    """Log of ``SpatialIndex.search`` and ``gather`` calls, each as
+    ``(method, action)`` with ``action`` the class name of the phase's
+    functor, taken from wrapping ``runtime.hybrid_for_each``. Each logged
+    ``search`` result also lands in ``found`` as weak references."""
+    log, found, phase = [], [], [None]
+    for_each = runtime.hybrid_for_each
+    search, gather = SpatialIndex.search, SpatialIndex.gather
+
+    def logged_for_each(sequence, functor, *args, **kwargs):
+        phase[0] = type(functor).__name__
+        return for_each(sequence, functor, *args, **kwargs)
+
+    def logged_search(self, *args):
+        pos, counts = search(self, *args)
+        log.append(("search", phase[0]))
+        found.extend((weakref.ref(pos), weakref.ref(counts)))
+        return pos, counts
+
+    def logged_gather(self, *args):
+        log.append(("gather", phase[0]))
+        return gather(self, *args)
+
+    monkeypatch.setattr(runtime, "hybrid_for_each", logged_for_each)
+    monkeypatch.setattr(SpatialIndex, "search", logged_search)
+    monkeypatch.setattr(SpatialIndex, "gather", logged_gather)
+    return log, found
+
+
+def row_groups(rows, rng):
+    """``rows`` cut into consecutive groups of random size."""
+    groups = []
+    while rows:
+        k = rng.randint(1, 300)
+        groups.append(rows[:k])
+        rows = rows[k:]
+    return groups
+
+
+class TestKeptTables:
+    def test_host_step_searches_once_per_block(self, index_calls):
+        log, found = index_calls
+        n = 1000
+        state = make_scene(n, seed=3)
+        simulation_step(state, [], host_workers=2)
+        blocks = math.ceil(n / BLOCK_ROWS)
+        for name in ("DensityGravityAction", "PressureForceAction"):
+            assert log.count(("gather", name)) == blocks
+        assert log.count(("search", "DensityGravityAction")) == blocks
+        assert log.count(("search", "PressureForceAction")) == 0
+        assert len(found) == 2 * blocks
+        assert all(ref() is None for ref in found)
+
+    def test_kept_tables_give_the_bits_of_fresh_ones(self):
+        # Phase 3 over groups that hit phase 2's (the same row ids in the
+        # same order), miss it (the same rows reversed), or cut across it.
+        n = 900
+        state = make_scene(n, seed=23)
+        phase1_prepare(state)
+        rng = random.Random(23)
+        groups2 = row_groups(rng.sample(range(n), n), rng)
+        tables = {}
+        density = DensityGravityAction(state, tables)
+        results = {}
+        for rows in groups2:
+            results.update(zip(rows, density.apply_block(rows)))
+        for k, name in enumerate(density.writes):
+            state.particles[name] = [results[i][k] for i in range(n)]
+        assert len(tables) == len(groups2)
+        hits, reversed_, rest = groups2[0::3], groups2[1::3], groups2[2::3]
+        rest = [i for rows in rest for i in rows]
+        rng.shuffle(rest)
+        groups3 = hits + [rows[::-1] for rows in reversed_]
+        groups3 += row_groups(rest, rng)
+        rng.shuffle(groups3)
+        kept = PressureForceAction(state, tables)
+        fresh = PressureForceAction(state)
+        for rows in groups3:
+            assert np.array(kept.apply_block(rows)).tobytes() == np.array(
+                fresh.apply_block(rows)).tobytes()
+        assert len(tables) == len(groups2) - len(hits)
+
+    def test_step_with_a_device_gives_the_golden_digest(self, index_calls):
+        # Host blocks of phase 3 hit where phase 2 ran the same rows on the
+        # host, and search again where the device had them; how many of
+        # each depends on the timing of the device.
+        _, found = index_calls
+        state = make_scene(3000, seed=7)
+        spec = DeviceSpec(worker_count=2, link=LinkConfig())
+        for _ in range(2):
+            simulation_step(state, [spec], host_workers=2)
+        digest = hashlib.sha256(state.particles.tobytes()).hexdigest()
+        assert digest == GOLDEN_STEP_SHA256
+        assert all(ref() is None for ref in found)
+
+    def test_decoded_device_copy_keeps_nothing(self):
+        state = make_scene(300, seed=4)
+        phase1_prepare(state)
+        tables = {}
+        for action in (DensityGravityAction, PressureForceAction):
+            functor = action(state, tables)
+            decoded = decode_functor(functor.wire_name,
+                                     encode_functor(functor))
+            assert decoded.tables is None
+            decoded.apply_block(list(range(BLOCK_ROWS)))
+        assert tables == {}
 
 
 def integrate_both_ways(particles, dt):
